@@ -1,35 +1,56 @@
 #include "sim/event_queue.h"
 
 #include <utility>
-#include <vector>
 
 #include "check/check.h"
 #include "sim/calendar_queue.h"
 
 namespace iotsim::sim {
 
-EventQueue::EventQueue()
-    : impl_{std::make_unique<BinaryHeapScheduler>()}, pending_{&node_pool_} {}
+namespace {
+
+constexpr unsigned kGenerationShift = 32;
+constexpr std::uint32_t kGenerationMask = (std::uint32_t{1} << 31) - 1;
+
+}  // namespace
+
+EventQueue::EventQueue() : impl_{std::make_unique<BinaryHeapScheduler>()} {}
 
 EventId EventQueue::schedule(SimTime when, Callback cb) {
   IOTSIM_CHECK_GE(when, SimTime::origin(), "event scheduled before simulation start");
-  const EventId id = next_id_++;
-  IOTSIM_CHECK_LT(id, kSystemIdFloor, "regular event ids exhausted");
-  insert(when, id, std::move(cb));
-  return id;
+  const std::uint64_t seq = next_seq_++;
+  IOTSIM_CHECK_LT(seq, kSystemIdFloor, "regular event sequence numbers exhausted");
+  return insert(when, seq, /*system=*/false, cb);
 }
 
 EventId EventQueue::schedule_last(SimTime when, Callback cb) {
   IOTSIM_CHECK_GE(when, SimTime::origin(), "event scheduled before simulation start");
-  const EventId id = next_system_id_--;
-  IOTSIM_CHECK_GE(id, kSystemIdFloor, "system event ids exhausted");
-  insert(when, id, std::move(cb));
-  return id;
+  const std::uint64_t seq = next_system_seq_--;
+  IOTSIM_CHECK_GE(seq, kSystemIdFloor, "system event sequence numbers exhausted");
+  return insert(when, seq, /*system=*/true, cb);
 }
 
-void EventQueue::insert(SimTime when, EventId id, Callback cb) {
-  impl_->push(SchedEntry{when, id});
-  pending_.emplace(id, std::move(cb));
+EventId EventQueue::id_of(std::uint32_t slot) const {
+  const Slot& s = slots_[slot];
+  return (s.system ? kSystemIdFloor : EventId{0}) |
+         (EventId{s.generation} << kGenerationShift) | slot;
+}
+
+EventId EventQueue::insert(SimTime when, std::uint64_t seq, bool system, Callback cb) {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    IOTSIM_CHECK_LT(slots_.size(), std::size_t{0xFFFF'FFFF}, "event slab exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.callback = cb;
+  s.state = SlotState::kLive;
+  s.system = system;
+  impl_->push(SchedEntry{when, seq, slot});
   ++live_count_;
   if (live_count_ > peak_count_) peak_count_ = live_count_;
   // Fleet pressure: a binary heap pays O(log n) per event; past the
@@ -39,12 +60,26 @@ void EventQueue::insert(SimTime when, EventId id, Callback cb) {
       impl_->kind() == SchedulerKind::kBinaryHeap) {
     migrate_to(SchedulerKind::kCalendar);
   }
+  return id_of(slot);
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.state = SlotState::kFree;
+  s.generation = (s.generation + 1) & kGenerationMask;
+  if (s.generation == 0) s.generation = 1;
+  free_slots_.push_back(slot);
 }
 
 void EventQueue::cancel(EventId id) {
-  if (pending_.erase(id) > 0) {
-    --live_count_;
+  const auto slot = static_cast<std::uint32_t>(id);
+  if (slot >= slots_.size() || slots_[slot].state != SlotState::kLive || id_of(slot) != id) {
+    return;
   }
+  // The scheduler entry still names this slot, so the slot is freed only
+  // when the entry leaves the scheduler (live_front, pop, migrate_to).
+  slots_[slot].state = SlotState::kCancelled;
+  --live_count_;
 }
 
 void EventQueue::migrate_to(SchedulerKind kind) {
@@ -54,7 +89,11 @@ void EventQueue::migrate_to(SchedulerKind kind) {
   while (!impl_->empty()) {
     const SchedEntry e = impl_->pop();
     // Cancelled stragglers are dropped here instead of migrating.
-    if (pending_.contains(e.seq)) entries.push_back(e);
+    if (slots_[e.slot].state == SlotState::kLive) {
+      entries.push_back(e);
+    } else {
+      release(e.slot);
+    }
   }
   if (kind == SchedulerKind::kCalendar) {
     impl_ = std::make_unique<CalendarQueue>(std::move(entries));
@@ -70,38 +109,47 @@ void EventQueue::force_scheduler(SchedulerKind kind) {
   pinned_ = true;
 }
 
-void EventQueue::drop_cancelled_front() {
-  while (!impl_->empty() && !pending_.contains(impl_->peek().seq)) {
+SchedEntry EventQueue::live_front() {
+  // live_count_ > 0 guarantees a live entry behind any cancelled ones.
+  for (;;) {
+    const SchedEntry e = impl_->peek();
+    if (slots_[e.slot].state == SlotState::kLive) return e;
     impl_->pop();
+    release(e.slot);
   }
 }
 
 SimTime EventQueue::next_time() {
-  drop_cancelled_front();
-  if (impl_->empty()) return SimTime::infinite();
-  return impl_->peek().time;
+  if (live_count_ == 0) return SimTime::infinite();
+  return live_front().time;
 }
 
 EventQueue::Popped EventQueue::pop() {
-  drop_cancelled_front();
-  IOTSIM_CHECK(!impl_->empty(), "pop() on empty EventQueue");
-  const SchedEntry e = impl_->pop();
+  IOTSIM_CHECK_GT(live_count_, std::size_t{0}, "pop() on empty EventQueue");
+  SchedEntry e = impl_->pop();
+  while (slots_[e.slot].state != SlotState::kLive) {
+    release(e.slot);
+    e = impl_->pop();
+  }
   // Time monotonicity: the kernel clock never moves backwards. A violation
   // here means scheduler ordering or a scheduling path is broken.
   IOTSIM_CHECK_GE(e.time, last_popped_, "event %llu fires at t=%s, before already-popped t=%s",
                   static_cast<unsigned long long>(e.seq), e.time.to_string().c_str(),
                   last_popped_.to_string().c_str());
   last_popped_ = e.time;
-  auto it = pending_.find(e.seq);
-  Popped out{e.time, e.seq, std::move(it->second)};
-  pending_.erase(it);
+  Popped out{e.time, id_of(e.slot), slots_[e.slot].callback};
+  release(e.slot);
   --live_count_;
   return out;
 }
 
 void EventQueue::clear() {
   impl_->clear();
-  pending_.clear();
+  // Release rather than discard the slots: their bumped generations keep
+  // ids issued before the clear from matching the slots' next occupants.
+  for (std::size_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].state != SlotState::kFree) release(static_cast<std::uint32_t>(i));
+  }
   live_count_ = 0;
   last_popped_ = SimTime::origin();
 }

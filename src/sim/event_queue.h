@@ -7,34 +7,81 @@
 // default, migrating automatically to a bucketed CalendarQueue once the
 // live population crosses kCalendarSwitchThreshold (fleet pressure). Both
 // yield the identical pop sequence, so the switch never changes results.
-// Callback nodes live in a per-queue pool resource, so a sharded fleet's
-// kernels never contend on the global allocator for event bookkeeping.
+//
+// Callbacks live in a slab of slots reused through a free list; each
+// scheduler entry carries its slot index, so reaching an event's callback
+// is an index, not a lookup, and a callback is stored inline without
+// allocating. An EventId is a generation-tagged slot handle: a stale id
+// whose slot has since been reused fails the generation check.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <cstring>
 #include <limits>
 #include <memory>
-#include <memory_resource>
-#include <unordered_map>
+#include <type_traits>
+#include <vector>
 
 #include "sim/scheduler.h"
 #include "sim/sim_time.h"
 
 namespace iotsim::sim {
 
+/// Slot handle: bits 0-31 hold the slab slot, bits 32-62 its generation
+/// (never 0), and bit 63 marks a system event (EventQueue::schedule_last).
 using EventId = std::uint64_t;
+
+/// A non-allocating `void()` callable: a trivially copyable functor of at
+/// most kCapacity bytes is stored inline as its bytes and called on a copy
+/// rebuilt from them. Every event the kernel schedules is a lambda over a
+/// coroutine handle, or an object pointer plus one word, which fits; larger
+/// state belongs in an object the lambda points at.
+class InlineCallback {
+ public:
+  static constexpr std::size_t kCapacity = 16;
+
+  InlineCallback() = default;
+
+  template <class Fn>
+    requires(!std::is_same_v<Fn, InlineCallback> && std::is_invocable_r_v<void, Fn&>)
+  InlineCallback(Fn f) noexcept {  // NOLINT(google-explicit-constructor)
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "event callback captures more than 16 bytes: capture a pointer to the "
+                  "state instead of the state");
+    static_assert(std::is_trivially_copyable_v<Fn>,
+                  "event callback must be trivially copyable: capture handles, pointers "
+                  "and scalars by value, not owning objects");
+    std::memcpy(storage_.data(), std::addressof(f), sizeof(Fn));
+    invoke_ = [](const Storage& bytes) {
+      std::array<std::byte, sizeof(Fn)> image{};
+      std::memcpy(image.data(), bytes.data(), sizeof(Fn));
+      std::bit_cast<Fn>(image)();
+    };
+  }
+
+  void operator()() const { invoke_(storage_); }
+  explicit operator bool() const { return invoke_ != nullptr; }
+
+ private:
+  using Storage = std::array<std::byte, kCapacity>;
+
+  Storage storage_{};
+  void (*invoke_)(const Storage&) = nullptr;
+};
 
 class EventQueue {
  public:
-  using Callback = std::function<void()>;
+  using Callback = InlineCallback;
 
   /// Live events beyond which the queue migrates from the binary heap to
   /// the calendar queue (one-way; see force_scheduler for tests).
   static constexpr std::size_t kCalendarSwitchThreshold = 4096;
 
-  /// Ids at or above this floor belong to system events (schedule_last).
-  /// Regular ids count up from 1 and can never reach it.
+  /// Ids at or above this floor belong to system events (schedule_last);
+  /// regular ids never set the bit.
   static constexpr EventId kSystemIdFloor = EventId{1} << 63;
 
   EventQueue();
@@ -44,15 +91,17 @@ class EventQueue {
   EventId schedule(SimTime when, Callback cb);
 
   /// Schedules a *system* event at `when` that fires after every regular
-  /// event with the same timestamp (ids descend from 2^64−1, and the FIFO
-  /// tie-break is ascending id). Kernel plumbing — e.g. the windowed
-  /// access-point arbitration trigger — uses this so bookkeeping never
-  /// interleaves with model events; Simulator excludes system events from
-  /// its events_dispatched counter for the same reason.
+  /// event with the same timestamp (system sequence numbers descend from
+  /// 2^64−1, and the FIFO tie-break is ascending sequence). Kernel
+  /// plumbing — e.g. the windowed access-point arbitration trigger — uses
+  /// this so bookkeeping never interleaves with model events; Simulator
+  /// excludes system events from its events_dispatched counter for the
+  /// same reason.
   EventId schedule_last(SimTime when, Callback cb);
 
-  /// Marks a still-pending event as cancelled; it is dropped lazily.
-  /// Cancelling an already-fired or unknown id is a harmless no-op.
+  /// Marks a still-pending event as cancelled; its slot is freed when the
+  /// entry reaches the front. Cancelling an already-fired, already-cancelled
+  /// or unknown id is a harmless no-op.
   void cancel(EventId id);
 
   [[nodiscard]] bool empty() const { return live_count_ == 0; }
@@ -80,22 +129,35 @@ class EventQueue {
   void force_scheduler(SchedulerKind kind);
 
  private:
-  /// Shared tail of schedule/schedule_last: entry, callback, migration.
-  void insert(SimTime when, EventId id, Callback cb);
-  /// Pops scheduler entries whose callback was cancelled.
-  void drop_cancelled_front();
+  enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
+
+  struct Slot {
+    Callback callback;
+    std::uint32_t generation = 1;  // 31 bits, never 0; bumped on release
+    SlotState state = SlotState::kFree;
+    bool system = false;
+  };
+
+  [[nodiscard]] EventId id_of(std::uint32_t slot) const;
+  /// Shared tail of schedule/schedule_last: slot, entry, migration.
+  EventId insert(SimTime when, std::uint64_t seq, bool system, Callback cb);
+  /// Returns a slot to the free list and invalidates its ids.
+  void release(std::uint32_t slot);
+  /// The earliest live entry, after popping (and freeing the slots of)
+  /// cancelled entries ahead of it. Precondition: live_count_ > 0.
+  SchedEntry live_front();
   /// Moves every pending entry onto a scheduler of `kind`.
   void migrate_to(SchedulerKind kind);
 
   std::unique_ptr<Scheduler> impl_;
   bool pinned_ = false;  // force_scheduler() disables auto-migration
   // Callbacks live beside the scheduler so SchedEntry stays trivially
-  // movable; an id missing from this map means the event was cancelled.
-  // Node storage comes from the queue-local pool.
-  std::pmr::unsynchronized_pool_resource node_pool_;
-  std::pmr::unordered_map<EventId, Callback> pending_;
-  std::uint64_t next_id_ = 1;
-  std::uint64_t next_system_id_ = std::numeric_limits<std::uint64_t>::max();
+  // movable; an entry's slot stays occupied until the entry leaves the
+  // scheduler, so a slot is never referenced by two entries.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_system_seq_ = std::numeric_limits<std::uint64_t>::max();
   std::size_t live_count_ = 0;
   std::size_t peak_count_ = 0;
   // High-water mark of popped event times; pop() checks monotonicity

@@ -39,11 +39,14 @@ enum class SchedulerKind : std::uint8_t {
   return "?";
 }
 
-/// One pending entry. `seq` is the insertion sequence number (the EventId),
-/// which breaks timestamp ties FIFO — the kernel's reproducibility rule.
+/// One pending entry. `seq` is the insertion sequence number, which breaks
+/// timestamp ties FIFO — the kernel's reproducibility rule. `slot` names
+/// the EventQueue slab slot holding the callback; it plays no part in the
+/// order (seq is unique).
 struct SchedEntry {
   SimTime time;
   std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
 
   // std::greater on SchedEntry gives a min-heap on (time, seq).
   [[nodiscard]] bool operator>(const SchedEntry& o) const {

@@ -17,6 +17,7 @@
 #include "codecs/util/checksum.h"
 #include "core/result_json.h"
 #include "core/scenario_runner.h"
+#include "test_temp_dir.h"
 
 namespace iotsim::cache {
 namespace {
@@ -29,7 +30,7 @@ using core::Scheme;
 class ResultCacheFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path{::testing::TempDir()} / "iotsim_result_cache";
+    dir_ = test::unique_temp_dir("iotsim_result_cache");
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override {

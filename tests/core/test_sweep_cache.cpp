@@ -11,6 +11,7 @@
 #include "cache/result_cache.h"
 #include "core/result_json.h"
 #include "core/sweep.h"
+#include "test_temp_dir.h"
 
 namespace iotsim::core {
 namespace {
@@ -20,7 +21,7 @@ using apps::AppId;
 class SweepDiskCacheFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::path{::testing::TempDir()} / "iotsim_sweep_disk_cache";
+    dir_ = test::unique_temp_dir("iotsim_sweep_disk_cache");
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

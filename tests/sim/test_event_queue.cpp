@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
 #include <vector>
 
 namespace iotsim::sim {
@@ -34,6 +36,7 @@ TEST(EventQueue, CancelDropsEvent) {
   const EventId id = q.schedule(SimTime::from_ns(1), [&] { ++fired; });
   q.schedule(SimTime::from_ns(2), [&] { ++fired; });
   q.cancel(id);
+  q.cancel(id);  // a second cancel of a pending-cancelled id counts once
   EXPECT_EQ(q.size(), 1u);
   while (!q.empty()) q.pop().callback();
   EXPECT_EQ(fired, 1);
@@ -150,6 +153,95 @@ TEST(EventQueue, SystemEventIdsSitAboveTheFloorAndAreCancellable) {
   q.cancel(id);
   while (!q.empty()) q.pop().callback();
   EXPECT_EQ(fired, 0);
+}
+
+TEST(EventQueue, PoppedIdIsTheScheduledId) {
+  EventQueue q;
+  std::vector<EventId> scheduled;
+  std::vector<EventId> popped;
+  for (int i = 0; i < 8; ++i) {
+    scheduled.push_back(q.schedule(SimTime::from_ns(i), [] {}));
+    // Popping after every other schedule recycles slots, so later ids
+    // reuse them.
+    if (i % 2 == 1) popped.push_back(q.pop().id);
+  }
+  scheduled.push_back(q.schedule_last(SimTime::from_ns(9), [] {}));
+  while (!q.empty()) popped.push_back(q.pop().id);
+  // Times ascend with the schedule order, so pops come back in that order.
+  EXPECT_EQ(popped, scheduled);
+}
+
+TEST(EventQueue, CancelOfStaleIdLeavesTheSlotsNextEventAlone) {
+  EventQueue q;
+  int fired = 0;
+  const EventId stale = q.schedule(SimTime::from_ns(1), [] {});
+  q.pop().callback();
+  // The freed slot goes to the next event; the old id must not reach it.
+  const EventId reused = q.schedule(SimTime::from_ns(2), [&] { ++fired; });
+  ASSERT_NE(reused, stale);
+  ASSERT_EQ(static_cast<std::uint32_t>(reused), static_cast<std::uint32_t>(stale));
+  q.cancel(stale);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_time(), SimTime::from_ns(2));
+  while (!q.empty()) q.pop().callback();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.size(), 0u);
+}
+
+TEST(EventQueue, CancelledBeforeMigrationFreeTheirSlots) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (std::size_t i = 0; i + 1 < EventQueue::kCalendarSwitchThreshold; ++i) {
+    ids.push_back(q.schedule(SimTime::from_ns(static_cast<std::int64_t>(i)), [] {}));
+  }
+  // Cancel the first half: their entries sit in the heap untouched until the
+  // migration drops them, which must hand their slots back.
+  const std::size_t cancelled = ids.size() / 2;
+  for (std::size_t i = 0; i < cancelled; ++i) q.cancel(ids[i]);
+  q.force_scheduler(SchedulerKind::kCalendar);
+  ASSERT_EQ(q.size(), ids.size() - cancelled);
+  // Every new event lands in a freed slot: no index reaches past the slab
+  // the first batch built.
+  const auto slab_end = static_cast<std::uint32_t>(ids.size());
+  for (std::size_t i = 0; i < cancelled; ++i) {
+    const EventId id = q.schedule(SimTime::from_ns(1'000'000), [] {});
+    EXPECT_LT(static_cast<std::uint32_t>(id), slab_end);
+  }
+  EXPECT_EQ(q.size(), ids.size());
+}
+
+TEST(EventQueue, SystemIdsStayAboveTheFloorAfterSlotReuse) {
+  EventQueue q;
+  // Cycle one slot between regular and system events several times.
+  for (int round = 0; round < 4; ++round) {
+    const EventId regular = q.schedule(SimTime::from_ns(round), [] {});
+    EXPECT_LT(regular, EventQueue::kSystemIdFloor);
+    EXPECT_EQ(q.pop().id, regular);
+    const EventId system = q.schedule_last(SimTime::from_ns(round), [] {});
+    EXPECT_GE(system, EventQueue::kSystemIdFloor);
+    EXPECT_EQ(static_cast<std::uint32_t>(system), static_cast<std::uint32_t>(regular));
+    EXPECT_EQ(q.pop().id, system);
+    // The stale regular id must not cancel a system event in its slot.
+    const EventId next = q.schedule_last(SimTime::from_ns(round), [] {});
+    q.cancel(regular);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_EQ(q.pop().id, next);
+  }
+}
+
+TEST(EventQueue, CallbackStoresSixteenByteCapturesInline) {
+  static_assert(std::is_trivially_copyable_v<EventQueue::Callback>);
+  EventQueue q;
+  std::int64_t sum = 0;
+  std::int64_t* target = &sum;
+  const std::int64_t add = 41;
+  q.schedule(SimTime::from_ns(1), [target, add] { *target += add + 1; });
+  EventQueue::Callback copy = q.pop().callback;
+  ASSERT_TRUE(copy);
+  copy();
+  copy();
+  EXPECT_EQ(sum, 84);
+  EXPECT_FALSE(EventQueue::Callback{});
 }
 
 TEST(EventQueue, ManyEventsStressOrder) {

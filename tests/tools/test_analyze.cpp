@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "test_temp_dir.h"
+
 namespace iotsim::analyze {
 namespace {
 
@@ -456,7 +458,7 @@ TEST(AnalyzeJson, EscapesAndOrdersFindings) {
 class CollectFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = std::filesystem::path{::testing::TempDir()} / "iotsim_analyze_collect";
+    root_ = iotsim::test::unique_temp_dir("iotsim_analyze_collect");
     std::filesystem::remove_all(root_);
     std::filesystem::create_directories(root_ / "src/core");
     std::filesystem::create_directories(root_ / "build/gen");
