@@ -45,6 +45,13 @@ struct SavingsBand {
   double com_lo, com_hi;
 };
 
+// gtest's default printer dumps the struct's bytes, padding included, so the
+// listed test names (and the ctest names built from them) changed per build.
+void PrintTo(const SavingsBand& band, std::ostream* os) {
+  *os << apps::code_of(band.id) << " batching " << band.batching_lo << "-" << band.batching_hi
+      << " com " << band.com_lo << "-" << band.com_hi;
+}
+
 class SavingsSweep : public ::testing::TestWithParam<SavingsBand> {};
 
 TEST_P(SavingsSweep, WithinBand) {
