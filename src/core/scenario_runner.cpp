@@ -44,39 +44,40 @@ HubRuntime::Config hub_config(const Scenario& scenario, const HubView& hv, net::
   return cfg;
 }
 
-/// One hub to harvest, paired with the ledger its components registered in
-/// (the shared ledger single-threaded; its shard's ledger when sharded).
+/// One hub to harvest, paired with the ledger of the shard it ran in.
 struct HarvestEntry {
   const HubRuntime* hub;
   const energy::EnergyAccountant* acct;
 };
+
+/// Adds one hub's availability section to a fleet roll-up; hubs without
+/// an environment model contribute nothing.
+void accumulate(energy::AvailabilitySummary& a, const env::AvailabilityStats& st) {
+  if (!st.modeled) return;
+  a.modeled = true;
+  ++a.hubs_modeled;
+  a.reboots += st.reboots;
+  a.windows_lost += st.windows_lost;
+  a.samples_lost_faults += st.samples_lost_faults;
+  a.samples_lost_outage += st.samples_lost_outage;
+  a.samples_lost_crash += st.samples_lost_crash;
+  a.downtime += st.downtime;
+  a.harvested_j += st.harvested_j;
+  a.billed_j += st.billed_j;
+}
 
 /// Fleet availability roll-up straight from the runtimes, in hub order —
 /// the totals harvest_fleet later re-derives from the HubResult sections
 /// and checks against (the environment-layer reassembly tripwire).
 energy::AvailabilitySummary availability_summary(const std::vector<HarvestEntry>& entries) {
   energy::AvailabilitySummary a;
-  for (const HarvestEntry& e : entries) {
-    const env::AvailabilityStats st = e.hub->availability();
-    if (!st.modeled) continue;
-    a.modeled = true;
-    ++a.hubs_modeled;
-    a.reboots += st.reboots;
-    a.windows_lost += st.windows_lost;
-    a.samples_lost_faults += st.samples_lost_faults;
-    a.samples_lost_outage += st.samples_lost_outage;
-    a.samples_lost_crash += st.samples_lost_crash;
-    a.downtime += st.downtime;
-    a.harvested_j += st.harvested_j;
-    a.billed_j += st.billed_j;
-  }
+  for (const HarvestEntry& e : entries) accumulate(a, e.hub->availability());
   return a;
 }
 
-/// The fleet-shape half of result assembly, identical for both execution
-/// paths: per-hub harvest in hub order, reassembly tripwires against the
-/// fleet totals already placed in `result.energy`, and the legacy flat-field
-/// mirror / fleet QoS summary.
+/// The fleet-shape half of result assembly: per-hub harvest in hub order,
+/// reassembly tripwires against the fleet totals already placed in
+/// `result.energy`, and the legacy flat-field mirror / fleet QoS summary.
 void harvest_fleet(ScenarioResult& result, const Scenario& scenario,
                    const std::vector<HarvestEntry>& entries) {
   result.qos_met = true;
@@ -90,18 +91,7 @@ void harvest_fleet(ScenarioResult& result, const Scenario& scenario,
     hub_stats_sum.grants += hr.airtime_grants;
     hub_stats_sum.retries += hr.net_retries;
     hub_stats_sum.drops += hr.net_drops;
-    if (hr.availability.modeled) {
-      hub_avail_sum.modeled = true;
-      ++hub_avail_sum.hubs_modeled;
-      hub_avail_sum.reboots += hr.availability.reboots;
-      hub_avail_sum.windows_lost += hr.availability.windows_lost;
-      hub_avail_sum.samples_lost_faults += hr.availability.samples_lost_faults;
-      hub_avail_sum.samples_lost_outage += hr.availability.samples_lost_outage;
-      hub_avail_sum.samples_lost_crash += hr.availability.samples_lost_crash;
-      hub_avail_sum.downtime += hr.availability.downtime;
-      hub_avail_sum.harvested_j += hr.availability.harvested_j;
-      hub_avail_sum.billed_j += hr.availability.billed_j;
-    }
+    accumulate(hub_avail_sum, hr.availability);
     result.interrupts_raised += hr.interrupts_raised;
     result.cpu_wakeups += hr.cpu_wakeups;
     result.sensor_read_errors += hr.sensor_read_errors;
@@ -209,16 +199,6 @@ int ScenarioRunner::effective_shards(const ExecPolicy& policy) const {
   return std::clamp(policy.shards, 1, fleet);
 }
 
-sim::Duration ScenarioRunner::effective_window(const ExecPolicy& policy) const {
-  // A windowed AP arbitrates exactly at reservation-window boundaries, so
-  // the shard barrier must meet there and nowhere else — any finer window
-  // would arbitrate early, any coarser one late, both visible in results.
-  if (scenario_.network && scenario_.network->windowed()) {
-    return scenario_.network->reservation_window;
-  }
-  return policy.window;
-}
-
 ScenarioResult ScenarioRunner::run() { return run(ExecPolicy{}); }
 
 ScenarioResult ScenarioRunner::run(const ExecPolicy& policy) {
@@ -229,108 +209,21 @@ ScenarioResult ScenarioRunner::run(const ExecPolicy& policy) {
     invalid.qos_met = false;
     return invalid;
   }
-  const int shards = effective_shards(policy);
-  if (shards <= 1) return run_single();
-  return run_sharded(shards, effective_window(policy));
+  return run_shards(effective_shards(policy));
 }
 
-ScenarioResult ScenarioRunner::run_single() {
-  // The arena outlives the simulator: coroutine frames allocated from it
-  // are destroyed with the simulator's processes, before the arena.
-  sim::Arena arena;
-  sim::Simulator sim;
-  energy::EnergyAccountant acct;
-  sim::ArenaScope frame_arena{arena};
-
-  // The medium every hub's NICs transmit through: a finite-bandwidth shared
-  // access point when the scenario configures one, the ideal
-  // infinite-capacity ether otherwise (byte-identical to the pre-network
-  // model — an IdealMedium acquire grants without suspending).
-  std::unique_ptr<net::Medium> medium;
-  const FleetView fleet = scenario_.fleet();
-  if (scenario_.network) {
-    auto ap = std::make_unique<net::SharedAccessPoint>(sim, *scenario_.network);
-    ap->reserve_attachments(2 * fleet.size());
-    medium = std::move(ap);
-  } else {
-    medium = std::make_unique<net::IdealMedium>();
-  }
-
-  // Build every hub's hardware and topology first (all powered components
-  // register with the shared ledger), then attach the trace, then spawn —
-  // so the trace integral covers every component, per hub or fleet-wide.
-  // Hubs are materialized one at a time from the lazy fleet view; the deque
-  // keeps each HubRuntime pinned (internal pointers) and its spine — like
-  // every hub's own container spines — comes from the run's arena.
-  std::deque<HubRuntime, sim::ArenaAllocator<HubRuntime>> hubs{
-      sim::ArenaAllocator<HubRuntime>{&arena}};
-  for (std::size_t i = 0; i < fleet.size(); ++i) {
-    hubs.emplace_back(sim, acct, hub_config(scenario_, fleet.hub(i), medium.get(), &arena));
-  }
-
-  std::shared_ptr<trace::PowerTrace> power_trace;
-  if (scenario_.record_power_trace) {
-    power_trace = std::make_shared<trace::PowerTrace>();
-    for (auto& hub : hubs) hub.attach_trace(*power_trace);
-  }
-
-  for (auto& hub : hubs) hub.start();
-
-  sim.run();
-  sim.check_processes();
-  IOTSIM_CHECK(sim.all_processes_done(), "simulation drained with live processes at t=%s",
-               sim.now().to_string().c_str());
-  for (auto& hub : hubs) hub.flush_power();
-  acct.check_conservation();
-
-  // Harvest: fleet-level totals from the shared ledger, one HubResult per
-  // hub from its component slice.
-  ScenarioResult result;
-  result.scheme = scenario_.scheme;
-  result.span = sim.now() - sim::SimTime::origin();
-  result.energy = energy::EnergyReport::from_accountant(acct, result.span);
-  {
-    const net::MediumStats net_stats = medium->stats();
-    energy::CongestionSummary congestion;
-    congestion.modeled = scenario_.network.has_value();
-    congestion.utilization = medium->utilization(sim.now());
-    congestion.airtime_wait = net_stats.totals.airtime_wait;
-    congestion.grants = net_stats.totals.grants;
-    congestion.retries = net_stats.totals.retries;
-    congestion.drops = net_stats.totals.drops;
-    result.energy.set_congestion(congestion);
-  }
-  {
-    const sim::SimulatorStats kernel_stats = sim.stats();
-    energy::KernelSummary kernel;
-    kernel.events_dispatched = kernel_stats.events_dispatched;
-    kernel.peak_queue_depth = kernel_stats.peak_queue_depth;
-    kernel.scheduler = std::string{sim::to_string(kernel_stats.scheduler)};
-    kernel.shards = 1;
-    result.energy.set_kernel(std::move(kernel));
-  }
-  result.power_trace = power_trace;
-
-  std::vector<HarvestEntry> entries;
-  entries.reserve(hubs.size());
-  for (const auto& hub : hubs) entries.push_back(HarvestEntry{&hub, &acct});
-  result.energy.set_availability(availability_summary(entries));
-  harvest_fleet(result, scenario_, entries);
-  return result;
-}
-
-ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
+ScenarioResult ScenarioRunner::run_shards(int shards) {
   // Each shard is a self-contained kernel: its own arena (coroutine frames
   // AND its hubs' runtime state — a 10k-hub fleet never exists on one heap),
-  // simulator, energy ledger, and per-shard ideal medium, driving a
-  // contiguous block of the fleet's hubs. Member order is destruction
-  // order in reverse: hubs die before the simulator, frames before the
-  // arena.
+  // simulator, energy ledger, and medium, driving a contiguous block of the
+  // fleet's hubs. Member order is destruction order in reverse: hubs die
+  // before their medium and simulator, frames before the arena.
   struct Shard {
     sim::Arena arena;
     sim::Simulator sim;
     energy::EnergyAccountant acct;
-    net::IdealMedium medium;
+    /// This shard's own medium; null when the fleet shares a windowed AP.
+    std::unique_ptr<net::Medium> medium;
     std::deque<HubRuntime, sim::ArenaAllocator<HubRuntime>> hubs{
         sim::ArenaAllocator<HubRuntime>{&arena}};
     std::atomic<bool> failed{false};
@@ -341,41 +234,61 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
   const std::size_t n = fleet_view.size();
   const auto s_count = static_cast<std::size_t>(shards);
   IOTSIM_CHECK_GE(n, s_count, "more shards than hubs after clamping");
-
-  // One shared access point for the whole fleet when the scenario couples
-  // hubs through one — kernel-less: request times come from each NIC's
-  // owner simulator and the barrier completion step below arbitrates every
-  // reservation-window batch while the shard workers are parked.
-  // effective_shards only kept shards > 1 for a *windowed* AP.
+  // Declared first so the AP outlives every hub attached to it.
   std::unique_ptr<net::SharedAccessPoint> shared_ap;
-  if (scenario_.network) {
-    IOTSIM_CHECK(scenario_.network->windowed(),
-                 "sharded run with a non-windowed access point (effective_shards bug)");
-    IOTSIM_CHECK_EQ(window.count_ns(), scenario_.network->reservation_window.count_ns(),
-                    "shard window must equal the AP reservation window");
-    shared_ap = std::make_unique<net::SharedAccessPoint>(*scenario_.network);
-    shared_ap->reserve_attachments(2 * n);
-  }
-
   std::deque<Shard> fleet(s_count);
 
-  // A finite window interleaves shard execution in simulated-time lockstep:
-  // every shard drains to the k-th boundary, then all arrive at the barrier
-  // before continuing. The completion step runs while every worker is
-  // parked: it first arbitrates the shared AP's batched airtime requests at
-  // the boundary (scheduling resume events into shard kernels — the same
-  // grants the single-kernel run derives from its boundary system events),
+  // The medium every hub's NICs transmit through follows from the scenario:
+  //   * no network — an IdealMedium per shard (acquire grants without
+  //     suspending, byte-identical to the pre-network model);
+  //   * an event-driven FIFO/CSMA AP — built on the one shard's simulator
+  //     (effective_shards never splits such a fleet);
+  //   * a windowed AP — one kernel-less AP for the whole fleet: request
+  //     times come from each NIC's owner simulator, and the boundary step
+  //     below arbitrates every reservation-window batch while the shard
+  //     workers are parked.
+  const bool windowed = scenario_.network && scenario_.network->windowed();
+  if (windowed) {
+    shared_ap = std::make_unique<net::SharedAccessPoint>(*scenario_.network);
+    shared_ap->reserve_attachments(2 * n);
+  } else if (scenario_.network) {
+    IOTSIM_CHECK_EQ(s_count, std::size_t{1},
+                    "sharded run with an event-driven access point (effective_shards bug)");
+    auto ap = std::make_unique<net::SharedAccessPoint>(fleet.front().sim, *scenario_.network);
+    ap->reserve_attachments(2 * n);
+    fleet.front().medium = std::move(ap);
+  } else {
+    for (Shard& sh : fleet) sh.medium = std::make_unique<net::IdealMedium>();
+  }
+
+  // One power trace integrates the whole fleet, so it needs one shard
+  // (effective_shards forces it); it is attached after every hub exists
+  // and before any starts, so the integral covers every component.
+  std::shared_ptr<trace::PowerTrace> power_trace;
+  if (scenario_.record_power_trace) {
+    IOTSIM_CHECK_EQ(s_count, std::size_t{1}, "power trace on a sharded run");
+    power_trace = std::make_shared<trace::PowerTrace>();
+  }
+
+  // A windowed AP interleaves shard execution in simulated-time lockstep:
+  // every shard drains to the k-th reservation-window boundary, then all
+  // arrive at the barrier before continuing. The completion step runs while
+  // every worker is parked: it first arbitrates the AP's batched airtime
+  // requests at the boundary (scheduling resume events into shard kernels),
   // then decides termination for all shards at once, so nobody can leave a
   // barrier another shard still waits on. The done check reads each shard's
   // pending-event count *after* arbitration: a shard whose sim drained may
-  // have just been handed a resume event.
+  // have just been handed a resume event. Without a windowed AP the shards
+  // never couple and each runs free to completion.
+  const sim::Duration window =
+      windowed ? scenario_.network->reservation_window : sim::Duration::max();
   std::atomic<bool> all_done{false};
   std::atomic<std::int64_t> round{1};
   net::SharedAccessPoint* ap = shared_ap.get();
   auto on_window_complete = [&fleet, &all_done, &round, ap, window]() noexcept {
     const std::int64_t k = round.fetch_add(1, std::memory_order_relaxed);
-    if (ap != nullptr) ap->arbitrate_window(window_horizon(window, k));
-    bool done = ap == nullptr || ap->pending_requests() == 0;
+    ap->arbitrate_window(window_horizon(window, k));
+    bool done = ap->pending_requests() == 0;
     for (const Shard& sh : fleet) {
       done = done && (sh.failed.load(std::memory_order_relaxed) ||
                       sh.sim.stats().pending_events == 0);
@@ -383,84 +296,79 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
     all_done.store(done, std::memory_order_relaxed);
   };
   std::barrier barrier{static_cast<std::ptrdiff_t>(s_count), on_window_complete};
-  // A non-positive window could never advance the horizon; treat it (and
-  // the Duration::max() default) as free-running. A shared AP always has a
-  // positive window (its reservation window, checked above).
-  const bool windowed = window != sim::Duration::max() && window > sim::Duration::zero();
 
-  // Exactly one worker per shard: every shard job must run concurrently
-  // when windowed (they meet at the barrier).
-  ThreadPool pool{shards};
-  for (std::size_t s = 0; s < s_count; ++s) {
-    const std::size_t begin = s * n / s_count;
-    const std::size_t end = (s + 1) * n / s_count;
+  auto run_shard = [this, &fleet, &fleet_view, &barrier, &all_done, &power_trace, ap, windowed,
+                    window, n, s_count](std::size_t s) {
     Shard& shard = fleet[s];
-    pool.submit([this, &shard, &fleet_view, &barrier, &all_done, ap, windowed, window, begin,
-                 end] {
-      bool failed = false;
-      try {
-        sim::ArenaScope frame_arena{shard.arena};
-        // Lazy materialization: each hub is built here, inside its shard
-        // worker, from the count-compressed scenario — runtime state lands
-        // in this shard's arena and construction parallelizes with the
-        // shard count. Slot-addressed NIC attachment (hub_index) keeps the
-        // shared AP's attachment table identical to the single-kernel run
-        // no matter how workers interleave.
-        net::Medium* medium = ap != nullptr ? static_cast<net::Medium*>(ap) : &shard.medium;
-        for (std::size_t h = begin; h < end; ++h) {
-          shard.hubs.emplace_back(shard.sim, shard.acct,
-                                  hub_config(scenario_, fleet_view.hub(h), medium,
-                                             &shard.arena));
-        }
-        for (auto& hub : shard.hubs) hub.start();
-        if (!windowed) {
-          shard.sim.run();
-        }
-      } catch (...) {
-        shard.error = std::current_exception();
-        failed = true;
+    bool failed = false;
+    try {
+      sim::ArenaScope frame_arena{shard.arena};
+      // Lazy materialization: each hub is built here, inside its shard
+      // worker, from the count-compressed scenario — runtime state lands
+      // in this shard's arena and construction parallelizes with the
+      // shard count. Slot-addressed NIC attachment (hub_index) keeps the
+      // shared AP's attachment table identical at every shard count no
+      // matter how workers interleave.
+      net::Medium* medium = ap != nullptr ? static_cast<net::Medium*>(ap) : shard.medium.get();
+      for (std::size_t h = s * n / s_count; h < (s + 1) * n / s_count; ++h) {
+        shard.hubs.emplace_back(shard.sim, shard.acct,
+                                hub_config(scenario_, fleet_view.hub(h), medium, &shard.arena));
       }
-      if (windowed) {
-        std::int64_t k = 1;
-        for (;;) {
-          if (!failed) {
-            try {
-              sim::ArenaScope frame_arena{shard.arena};
-              shard.sim.drain_until(window_horizon(window, k));
-            } catch (...) {
-              shard.error = std::current_exception();
-              failed = true;
-            }
+      if (power_trace) {
+        for (auto& hub : shard.hubs) hub.attach_trace(*power_trace);
+      }
+      for (auto& hub : shard.hubs) hub.start();
+      if (!windowed) shard.sim.run();
+    } catch (...) {
+      shard.error = std::current_exception();
+      failed = true;
+    }
+    if (windowed) {
+      for (std::int64_t k = 1;; ++k) {
+        if (!failed) {
+          try {
+            sim::ArenaScope frame_arena{shard.arena};
+            shard.sim.drain_until(window_horizon(window, k));
+          } catch (...) {
+            shard.error = std::current_exception();
+            failed = true;
           }
-          shard.failed.store(failed, std::memory_order_relaxed);
-          barrier.arrive_and_wait();
-          if (all_done.load(std::memory_order_relaxed)) break;
-          ++k;
         }
+        shard.failed.store(failed, std::memory_order_relaxed);
+        barrier.arrive_and_wait();
+        if (all_done.load(std::memory_order_relaxed)) break;
       }
-      if (failed) return;
-      try {
-        shard.sim.check_processes();
-        IOTSIM_CHECK(shard.sim.all_processes_done(),
-                     "shard drained with live processes at t=%s",
-                     shard.sim.now().to_string().c_str());
-        // Power is NOT flushed here: each shard's clock stops at its own
-        // last event, but idle power must integrate to the fleet-wide end
-        // time (exactly what the single-thread run does). The merge phase
-        // advances every shard to the global span first.
-      } catch (...) {
-        shard.error = std::current_exception();
-      }
-    });
+    }
+    if (failed) return;
+    try {
+      shard.sim.check_processes();
+      IOTSIM_CHECK(shard.sim.all_processes_done(), "shard drained with live processes at t=%s",
+                   shard.sim.now().to_string().c_str());
+      // Power is NOT flushed here: each shard's clock stops at its own
+      // last event, but idle power must integrate to the fleet-wide end
+      // time. The merge phase advances every shard to the global span first.
+    } catch (...) {
+      shard.error = std::current_exception();
+    }
+  };
+
+  // One shard runs inline on the calling thread. More get exactly one
+  // worker each: every shard job must run concurrently when windowed (they
+  // meet at the barrier).
+  if (s_count == 1) {
+    run_shard(0);
+  } else {
+    ThreadPool pool{shards};
+    for (std::size_t s = 0; s < s_count; ++s) pool.submit([&run_shard, s] { run_shard(s); });
+    pool.wait_idle();
   }
-  pool.wait_idle();
   for (Shard& sh : fleet) {
     if (sh.error) std::rethrow_exception(sh.error);
   }
 
   // Merge in shard order — which is hub order, because shards hold
-  // contiguous blocks. Every sum below therefore reproduces the
-  // single-thread iteration order (floats bit-identically; see
+  // contiguous blocks. Every sum below therefore reproduces the one-shard
+  // iteration order (floats bit-identically; see
   // EnergyReport::from_accountants).
   ScenarioResult result;
   result.scheme = scenario_.scheme;
@@ -470,9 +378,9 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
 
   // Close every hub's power segments at the fleet-wide end time: a shard
   // whose last event fired early still idles (on every component's resting
-  // state) until the fleet finishes, exactly as it would sharing the
-  // single-thread clock. run_until on a drained simulator only advances
-  // the clock — no events, no coroutine frames.
+  // state) until the fleet finishes, exactly as it would sharing one
+  // clock. run_until on a drained simulator only advances the clock — no
+  // events, no coroutine frames.
   for (Shard& sh : fleet) {
     sh.sim.run_until(span_end);
     for (auto& hub : sh.hubs) hub.flush_power();
@@ -484,26 +392,24 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
   for (const Shard& sh : fleet) ledgers.push_back(&sh.acct);
   result.energy = energy::EnergyReport::from_accountants(ledgers, result.span);
   {
-    energy::CongestionSummary congestion;
+    // The fleet's media — the one shared AP, or one per shard — summed in
+    // shard order. A network means exactly one medium; the ideal medium's
+    // utilization is always zero.
+    std::vector<const net::Medium*> media;
     if (shared_ap != nullptr) {
-      // Assembled exactly as run_single assembles it from its own AP.
-      const net::MediumStats net_stats = shared_ap->stats();
-      congestion.modeled = true;
-      congestion.utilization = shared_ap->utilization(span_end);
-      congestion.airtime_wait = net_stats.totals.airtime_wait;
-      congestion.grants = net_stats.totals.grants;
-      congestion.retries = net_stats.totals.retries;
-      congestion.drops = net_stats.totals.drops;
+      media.push_back(shared_ap.get());
     } else {
-      congestion.modeled = false;
-      congestion.utilization = 0.0;  // == IdealMedium utilization, always
-      for (const Shard& sh : fleet) {
-        const net::MediumStats net_stats = sh.medium.stats();
-        congestion.airtime_wait += net_stats.totals.airtime_wait;
-        congestion.grants += net_stats.totals.grants;
-        congestion.retries += net_stats.totals.retries;
-        congestion.drops += net_stats.totals.drops;
-      }
+      for (const Shard& sh : fleet) media.push_back(sh.medium.get());
+    }
+    energy::CongestionSummary congestion;
+    congestion.modeled = scenario_.network.has_value();
+    congestion.utilization = congestion.modeled ? media.front()->utilization(span_end) : 0.0;
+    for (const net::Medium* m : media) {
+      const net::MediumStats net_stats = m->stats();
+      congestion.airtime_wait += net_stats.totals.airtime_wait;
+      congestion.grants += net_stats.totals.grants;
+      congestion.retries += net_stats.totals.retries;
+      congestion.drops += net_stats.totals.drops;
     }
     result.energy.set_congestion(congestion);
   }
@@ -518,6 +424,7 @@ ScenarioResult ScenarioRunner::run_sharded(int shards, sim::Duration window) {
     kernel.scheduler = std::string{sim::to_string(fleet.front().sim.stats().scheduler)};
     result.energy.set_kernel(std::move(kernel));
   }
+  result.power_trace = power_trace;
 
   std::vector<HarvestEntry> entries;
   entries.reserve(n);

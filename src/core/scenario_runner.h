@@ -6,21 +6,22 @@
 // HubInstance fleet), drive every HubRuntime, and collect the fleet-level
 // plus per-hub sections of the ScenarioResult.
 //
-// Execution shape is a separate axis (core/exec_policy.h): run() drives the
-// whole fleet from one Simulator on the calling thread; run(policy) may
-// split a fleet into contiguous hub blocks, one Simulator and energy ledger
-// per shard on its own worker thread, merging results in shard order so the
-// output is byte-identical either way. Hubs are materialized lazily from
-// Scenario::fleet() inside their shard worker — each hub's runtime state
-// lives in its shard's arena, so a 10k-hub fleet never exists on one heap
-// at once and construction itself parallelizes with the shard count.
+// Execution shape is a separate axis (core/exec_policy.h), and there is one
+// execution path: run(policy) splits the fleet into contiguous hub blocks,
+// one Simulator, arena and energy ledger per shard, and merges results in
+// shard order, so the output is byte-identical at any shard count. The
+// single-kernel run is simply one shard, executed inline on the calling
+// thread; more shards get one worker thread each. Hubs are materialized
+// lazily from Scenario::fleet() inside their shard — each hub's runtime
+// state lives in its shard's arena, so a 10k-hub fleet never exists on one
+// heap at once and construction itself parallelizes with the shard count.
 //
-// Fleets coupled through a shared access point shard too, when the AP runs
-// in window-quantum mode (ApConfig::reservation_window > 0): the shard
-// window is forced to the reservation window, every shard drains to the
-// boundary, and the barrier completion step arbitrates the batched airtime
-// requests — the same total order the single-kernel run derives from its
-// boundary system events, hence byte-identical results.
+// Fleets coupled through a windowed shared access point
+// (ApConfig::reservation_window > 0) run in lockstep at any shard count:
+// every shard drains to the next reservation-window boundary, then the
+// barrier's completion step arbitrates the batched airtime requests on the
+// one kernel-less AP. The barrier window is the reservation window; it
+// follows from the scenario, not from the policy.
 #pragma once
 
 #include "core/exec_policy.h"
@@ -38,9 +39,9 @@ class ScenarioRunner {
  public:
   explicit ScenarioRunner(Scenario scenario) : scenario_{std::move(scenario)} {}
 
-  /// Runs the whole scenario single-threaded; every call builds a fresh
-  /// simulation. If the scenario fails Scenario::validate(), nothing runs
-  /// and the returned result carries the errors.
+  /// Runs the whole scenario as one shard on the calling thread; every call
+  /// builds a fresh simulation. If the scenario fails Scenario::validate(),
+  /// nothing runs and the returned result carries the errors.
   [[nodiscard]] ScenarioResult run();
 
   /// Runs under `policy`, sharding the fleet when the scenario permits it.
@@ -55,15 +56,10 @@ class ScenarioRunner {
   /// honour, so those fleets keep their shards.
   [[nodiscard]] int effective_shards(const ExecPolicy& policy) const;
 
-  /// The shard window run(policy) would actually use: `policy.window`,
-  /// overridden by the AP's reservation window when the scenario couples
-  /// hubs through a window-quantum access point (shards must synchronize
-  /// exactly at arbitration boundaries — no other quantum is sound).
-  [[nodiscard]] sim::Duration effective_window(const ExecPolicy& policy) const;
-
  private:
-  [[nodiscard]] ScenarioResult run_single();
-  [[nodiscard]] ScenarioResult run_sharded(int shards, sim::Duration window);
+  /// The one execution path: `shards` (already effective) kernels, inline
+  /// on the calling thread when there is one.
+  [[nodiscard]] ScenarioResult run_shards(int shards);
 
   Scenario scenario_;
 };

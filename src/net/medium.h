@@ -8,8 +8,7 @@
 // contention (see shared_access_point.h).
 //
 // Statistics go through one value-returning snapshot, Medium::stats() →
-// MediumStats; the legacy totals()/utilization() accessors remain as thin
-// deprecated wrappers over it for this release.
+// MediumStats; utilization() is the one derived accessor computed from it.
 //
 // Determinism contract: acquire() may only suspend on kernel awaitables
 // (Delay), and any randomness (CSMA backoff) must come from the sim::Rng
@@ -113,15 +112,10 @@ class Medium {
   [[nodiscard]] virtual const AirtimeStats& stats(std::size_t attachment) const = 0;
 
   /// The whole medium's state and counters as one snapshot — the single
-  /// statistics surface. Everything below derives from it.
+  /// statistics surface. utilization() derives from it.
   [[nodiscard]] virtual MediumStats stats() const = 0;
 
-  /// Sum of per-attachment counters.
-  /// @deprecated Thin wrapper over stats().totals; will be removed.
-  [[nodiscard]] AirtimeStats totals() const { return stats().totals; }
-
   /// Fraction of elapsed simulated time the channel carried a burst.
-  /// @deprecated Thin wrapper computed from stats(); will be removed.
   [[nodiscard]] double utilization(sim::SimTime now) const;
 };
 

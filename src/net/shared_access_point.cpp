@@ -15,6 +15,8 @@ SharedAccessPoint::SharedAccessPoint(sim::Simulator& sim, ApConfig cfg)
   IOTSIM_CHECK_GE(cfg_.queue_depth, 1, "SharedAccessPoint: queue depth must be >= 1");
   IOTSIM_CHECK(!cfg_.reservation_window.is_negative(),
                "SharedAccessPoint: reservation window must be >= 0");
+  IOTSIM_CHECK(!cfg_.windowed(),
+               "SharedAccessPoint: a windowed AP is kernel-less; use the ApConfig-only ctor");
 }
 
 SharedAccessPoint::SharedAccessPoint(ApConfig cfg)
@@ -132,7 +134,8 @@ sim::Task<Grant> SharedAccessPoint::acquire_csma(Attachment& att, sim::Duration 
 
 void SharedAccessPoint::WindowAwait::await_suspend(std::coroutine_handle<> h) {
   req->waiter = h;
-  ap->register_request(req);
+  std::lock_guard<std::mutex> lock{ap->mutex_};
+  ap->pending_.push_back(req);
 }
 
 sim::Task<Grant> SharedAccessPoint::acquire_windowed(std::size_t slot, sim::Duration air) {
@@ -149,37 +152,6 @@ sim::Task<Grant> SharedAccessPoint::acquire_windowed(std::size_t slot, sim::Dura
   }
   co_await WindowAwait{this, &req};
   co_return Grant{req.granted, air};
-}
-
-sim::SimTime SharedAccessPoint::boundary_after(sim::SimTime t) const {
-  const std::int64_t q = cfg_.reservation_window.count_ns();
-  return sim::SimTime::from_ns((t.count_ns() / q + 1) * q);
-}
-
-void SharedAccessPoint::register_request(PendingRequest* req) {
-  {
-    std::lock_guard<std::mutex> lock{mutex_};
-    pending_.push_back(req);
-  }
-  // Single-kernel mode drives its own arbitration; the sharded runner calls
-  // arbitrate_window from the barrier instead and owns every boundary.
-  if (sim_ != nullptr && !armed_) arm_boundary(boundary_after(req->requested));
-}
-
-void SharedAccessPoint::arm_boundary(sim::SimTime boundary) {
-  armed_ = true;
-  sim_->at_system(boundary, [this, boundary] {
-    armed_ = false;
-    arbitrate_window(boundary);
-    bool more = false;
-    {
-      std::lock_guard<std::mutex> lock{mutex_};
-      more = !pending_.empty();
-    }
-    // Leftovers arrived exactly at `boundary` (excluded by the strict
-    // filter); they arbitrate one window later.
-    if (more) arm_boundary(boundary_after(boundary));
-  });
 }
 
 void SharedAccessPoint::arbitrate_window(sim::SimTime boundary) {
@@ -246,11 +218,6 @@ std::size_t SharedAccessPoint::pending_requests() const {
   return pending_.size();
 }
 
-int SharedAccessPoint::pending() const {
-  if (cfg_.windowed()) return static_cast<int>(pending_requests());
-  return waiting_;
-}
-
 const AirtimeStats& SharedAccessPoint::stats(std::size_t attachment) const {
   IOTSIM_CHECK_LT(attachment, attachments_.size(),
                   "SharedAccessPoint: stats for unattached NIC");
@@ -265,7 +232,7 @@ MediumStats SharedAccessPoint::stats() const {
   out.attachments = attachments_.size();
   for (const Attachment& att : attachments_) out.totals += att.stats;
   out.busy_airtime = busy_airtime_;
-  out.pending = pending();
+  out.pending = cfg_.windowed() ? static_cast<int>(pending_requests()) : waiting_;
   // The conservative sharding window: no queued burst can be granted before
   // the current reservation ends.
   out.next_free = next_free_;

@@ -11,13 +11,11 @@
 // arbitrates the batch at the window boundary in (request time, attachment,
 // sequence) order — a total order that does not depend on the interleaving
 // in which requests were registered. That is the coupling contract that lets
-// a sharded fleet keep one shared AP: shard kernels run decoupled inside a
-// window, synchronize on a barrier at each boundary kQ, and the barrier
-// completion step calls arbitrate_window(kQ). A single-shard run drives the
-// very same arbitration from a system event scheduled at the boundary
-// (Simulator::at_system — fires after all regular events at kQ and is not
-// counted in events_dispatched), so both execution shapes produce
-// byte-identical results.
+// a fleet of any shard count keep one shared AP. A windowed AP has no kernel
+// of its own and one driver: the shard runner drains every shard kernel to
+// each boundary kQ and then calls arbitrate_window(kQ) — on the barrier's
+// completion step when sharded, inline for one shard. The event-driven
+// FIFO/CSMA modes live on one simulator instead.
 //
 // Invariants (IOTSIM_CHECK, on in Debug or -DIOTSIM_CHECKS=ON):
 //   * airtime grants never overlap — each grant starts at or after the
@@ -47,13 +45,12 @@ namespace iotsim::net {
 
 class SharedAccessPoint final : public Medium {
  public:
-  /// Single-kernel AP: `sim` stamps request times and (in window-quantum
-  /// mode) hosts the boundary arbitration events.
+  /// Event-driven FIFO/CSMA AP: `sim` stamps request times and hosts the
+  /// waits. Rejects a windowed config — that AP is kernel-less.
   SharedAccessPoint(sim::Simulator& sim, ApConfig cfg);
-  /// Kernel-less AP for externally arbitrated (sharded) fleets: request
-  /// times come from each attachment's owner simulator (attach_at), and the
-  /// shard barrier must call arbitrate_window at every boundary. Requires a
-  /// windowed config.
+  /// Kernel-less windowed AP: request times come from each attachment's
+  /// owner simulator (attach_at), and the driver must call arbitrate_window
+  /// at every boundary. Requires a windowed config.
   explicit SharedAccessPoint(ApConfig cfg);
 
   std::size_t attach(std::string name, sim::Rng backoff_rng) override;
@@ -73,20 +70,15 @@ class SharedAccessPoint final : public Medium {
   /// before `boundary`, in (request time, attachment, sequence) order, and
   /// schedules each waiter's resume on its owner kernel (grant start for
   /// grants, the boundary for drops). Thread-safe against registration; the
-  /// sharded runner calls it from the barrier completion step while every
-  /// shard worker is parked, the single-kernel path from a system event at
-  /// the boundary. Requests made exactly at `boundary` wait for the next
-  /// window — mirroring that boundary-time model events have already run
-  /// before either driver fires.
+  /// shard runner calls it once every shard kernel has drained to
+  /// `boundary` and is parked. Requests made exactly at `boundary` wait for
+  /// the next window — boundary-time model events have already run by then.
   void arbitrate_window(sim::SimTime boundary);
 
   /// Requests registered and not yet arbitrated (windowed mode).
   [[nodiscard]] std::size_t pending_requests() const;
 
   [[nodiscard]] const ApConfig& config() const { return cfg_; }
-  /// Bursts currently waiting for the channel.
-  /// @deprecated Thin wrapper over stats().pending; will be removed.
-  [[nodiscard]] int pending() const;
 
  private:
   struct Attachment {
@@ -109,7 +101,8 @@ class SharedAccessPoint final : public Medium {
     bool granted = false;
   };
 
-  /// Awaitable that parks a windowed acquire until its boundary.
+  /// Awaitable that parks a windowed acquire until its boundary: suspending
+  /// registers the request for the next arbitrate_window.
   struct WindowAwait {
     SharedAccessPoint* ap;
     PendingRequest* req;
@@ -127,16 +120,7 @@ class SharedAccessPoint final : public Medium {
   [[nodiscard]] sim::Task<Grant> acquire_csma(Attachment& att, sim::Duration air);
   [[nodiscard]] sim::Task<Grant> acquire_windowed(std::size_t slot, sim::Duration air);
 
-  /// Registers a parked windowed request; in single-kernel mode also arms
-  /// the boundary system event if none is outstanding.
-  void register_request(PendingRequest* req);
-  /// Single-kernel mode: schedules the arbitration system event at
-  /// `boundary`; the event re-arms itself while requests remain parked.
-  void arm_boundary(sim::SimTime boundary);
-  /// First window boundary strictly after `t`.
-  [[nodiscard]] sim::SimTime boundary_after(sim::SimTime t) const;
-
-  sim::Simulator* sim_;  ///< null for the externally arbitrated ctor
+  sim::Simulator* sim_;  ///< null for the kernel-less windowed ctor
   ApConfig cfg_;
   std::vector<Attachment> attachments_;
   sim::SimTime next_free_;       ///< when the channel's last reservation ends
@@ -146,15 +130,14 @@ class SharedAccessPoint final : public Medium {
 
   // Window-quantum state. The mutex guards pending_ and the slot table
   // during concurrent shard construction/registration; arbitration itself
-  // runs with every shard parked (or on the single kernel), so the
-  // channel bookkeeping above needs no lock.
+  // runs with every shard parked, so the channel bookkeeping above needs no
+  // lock.
   mutable std::mutex mutex_;
   std::deque<PendingRequest*> pending_;
   /// Start times of granted, not-yet-started reservations (ascending): the
   /// windowed queue-depth bound counts the entries a new request would queue
   /// behind.
   std::deque<sim::SimTime> reserved_starts_;
-  bool armed_ = false;  ///< a boundary system event is outstanding (single-kernel)
 };
 
 }  // namespace iotsim::net

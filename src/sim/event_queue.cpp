@@ -16,27 +16,13 @@ constexpr std::uint32_t kGenerationMask = (std::uint32_t{1} << 31) - 1;
 
 EventQueue::EventQueue() : impl_{std::make_unique<BinaryHeapScheduler>()} {}
 
+EventId EventQueue::id_of(std::uint32_t slot) const {
+  return (EventId{slots_[slot].generation} << kGenerationShift) | slot;
+}
+
 EventId EventQueue::schedule(SimTime when, Callback cb) {
   IOTSIM_CHECK_GE(when, SimTime::origin(), "event scheduled before simulation start");
   const std::uint64_t seq = next_seq_++;
-  IOTSIM_CHECK_LT(seq, kSystemIdFloor, "regular event sequence numbers exhausted");
-  return insert(when, seq, /*system=*/false, cb);
-}
-
-EventId EventQueue::schedule_last(SimTime when, Callback cb) {
-  IOTSIM_CHECK_GE(when, SimTime::origin(), "event scheduled before simulation start");
-  const std::uint64_t seq = next_system_seq_--;
-  IOTSIM_CHECK_GE(seq, kSystemIdFloor, "system event sequence numbers exhausted");
-  return insert(when, seq, /*system=*/true, cb);
-}
-
-EventId EventQueue::id_of(std::uint32_t slot) const {
-  const Slot& s = slots_[slot];
-  return (s.system ? kSystemIdFloor : EventId{0}) |
-         (EventId{s.generation} << kGenerationShift) | slot;
-}
-
-EventId EventQueue::insert(SimTime when, std::uint64_t seq, bool system, Callback cb) {
   std::uint32_t slot = 0;
   if (free_slots_.empty()) {
     IOTSIM_CHECK_LT(slots_.size(), std::size_t{0xFFFF'FFFF}, "event slab exhausted");
@@ -49,7 +35,6 @@ EventId EventQueue::insert(SimTime when, std::uint64_t seq, bool system, Callbac
   Slot& s = slots_[slot];
   s.callback = cb;
   s.state = SlotState::kLive;
-  s.system = system;
   impl_->push(SchedEntry{when, seq, slot});
   ++live_count_;
   if (live_count_ > peak_count_) peak_count_ = live_count_;

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <type_traits>
 #include <vector>
@@ -31,7 +30,7 @@
 namespace iotsim::sim {
 
 /// Slot handle: bits 0-31 hold the slab slot, bits 32-62 its generation
-/// (never 0), and bit 63 marks a system event (EventQueue::schedule_last).
+/// (never 0).
 using EventId = std::uint64_t;
 
 /// A non-allocating `void()` callable: a trivially copyable functor of at
@@ -80,24 +79,11 @@ class EventQueue {
   /// the calendar queue (one-way; see force_scheduler for tests).
   static constexpr std::size_t kCalendarSwitchThreshold = 4096;
 
-  /// Ids at or above this floor belong to system events (schedule_last);
-  /// regular ids never set the bit.
-  static constexpr EventId kSystemIdFloor = EventId{1} << 63;
-
   EventQueue();
 
   /// Schedules `cb` to run at absolute time `when`. Returns a handle that can
   /// be passed to `cancel`.
   EventId schedule(SimTime when, Callback cb);
-
-  /// Schedules a *system* event at `when` that fires after every regular
-  /// event with the same timestamp (system sequence numbers descend from
-  /// 2^64−1, and the FIFO tie-break is ascending sequence). Kernel
-  /// plumbing — e.g. the windowed access-point arbitration trigger — uses
-  /// this so bookkeeping never interleaves with model events; Simulator
-  /// excludes system events from its events_dispatched counter for the
-  /// same reason.
-  EventId schedule_last(SimTime when, Callback cb);
 
   /// Marks a still-pending event as cancelled; its slot is freed when the
   /// entry reaches the front. Cancelling an already-fired, already-cancelled
@@ -135,12 +121,9 @@ class EventQueue {
     Callback callback;
     std::uint32_t generation = 1;  // 31 bits, never 0; bumped on release
     SlotState state = SlotState::kFree;
-    bool system = false;
   };
 
   [[nodiscard]] EventId id_of(std::uint32_t slot) const;
-  /// Shared tail of schedule/schedule_last: slot, entry, migration.
-  EventId insert(SimTime when, std::uint64_t seq, bool system, Callback cb);
   /// Returns a slot to the free list and invalidates its ids.
   void release(std::uint32_t slot);
   /// The earliest live entry, after popping (and freeing the slots of)
@@ -157,7 +140,6 @@ class EventQueue {
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
-  std::uint64_t next_system_seq_ = std::numeric_limits<std::uint64_t>::max();
   std::size_t live_count_ = 0;
   std::size_t peak_count_ = 0;
   // High-water mark of popped event times; pop() checks monotonicity

@@ -22,11 +22,6 @@ EventId Simulator::after(Duration d, EventQueue::Callback cb) {
   return at(now_ + d, std::move(cb));
 }
 
-EventId Simulator::at_system(SimTime t, EventQueue::Callback cb) {
-  assert(t >= now_ && "cannot schedule into the past");
-  return queue_.schedule_last(t, std::move(cb));
-}
-
 void Simulator::spawn(Task<void> task) {
   assert(task.valid());
   auto handle = task.handle();
@@ -36,10 +31,8 @@ void Simulator::spawn(Task<void> task) {
 }
 
 void Simulator::advance_to(SimTime t) {
-  if (t == now_) return;
-  assert(t > now_);
+  assert(t >= now_);
   now_ = t;
-  for (auto& l : clock_listeners_) l(now_);
 }
 
 void Simulator::run() { dispatch_loop(SimTime::infinite(), /*settle_at_limit=*/false); }
@@ -63,10 +56,7 @@ void Simulator::dispatch_loop(SimTime limit, bool settle_at_limit) {
     auto ev = queue_.pop();
     advance_to(ev.time);
     ev.callback();
-    // System events are kernel plumbing, not model activity: keeping them
-    // out of the counter makes events_dispatched identical across
-    // execution shapes that do or don't need them.
-    if (ev.id < EventQueue::kSystemIdFloor) ++dispatched_;
+    ++dispatched_;
   }
   if (settle_at_limit && queue_.empty() && limit != SimTime::infinite() && now_ < limit &&
       !stop_requested_) {

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,11 +46,6 @@ class Simulator {
   EventId at(SimTime t, EventQueue::Callback cb);
   /// Schedules a raw callback `d` from now.
   EventId after(Duration d, EventQueue::Callback cb);
-  /// Schedules kernel bookkeeping at `t` that fires after every regular
-  /// event sharing that timestamp and is excluded from events_dispatched —
-  /// so a run driven by system events (e.g. windowed-AP arbitration) stays
-  /// counter-identical to one driven externally at barriers.
-  EventId at_system(SimTime t, EventQueue::Callback cb);
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// Takes ownership of a top-level process and schedules its start at now().
@@ -86,10 +80,6 @@ class Simulator {
   /// Rethrows the first exception stored by any completed process.
   void check_processes() const;
 
-  /// Registered observers run whenever now() advances (power-trace flushing).
-  using ClockListener = std::function<void(SimTime)>;
-  void add_clock_listener(ClockListener l) { clock_listeners_.push_back(std::move(l)); }
-
   /// Pins the event queue's ordering structure. Test/bench hook; results
   /// are identical for either kind.
   void force_scheduler(SchedulerKind kind) { queue_.force_scheduler(kind); }
@@ -105,7 +95,6 @@ class Simulator {
   SimTime now_ = SimTime::origin();
   EventQueue queue_;
   std::vector<Task<void>> processes_;
-  std::vector<ClockListener> clock_listeners_;
   std::uint64_t dispatched_ = 0;
   bool stop_requested_ = false;
   bool running_ = false;

@@ -14,6 +14,7 @@
 #include "energy/power_model.h"
 #include "energy/power_state_machine.h"
 #include "hw/mcu.h"
+#include "net/shared_access_point.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
 
@@ -229,6 +230,17 @@ TEST(Invariants, McuRamOverReleaseFires) {
   EXPECT_FALSE(mcu.reserve_ram(4096));  // over budget: refused, not fatal
   mcu.release_ram(512);
   EXPECT_THROW(mcu.release_ram(1), CheckFailure);
+}
+
+TEST(Invariants, SimulatorBoundApRejectsAWindowedConfig) {
+  // A windowed AP is kernel-less: only the shard runner's boundary loop
+  // arbitrates it.
+  ScopedFailureHandler guard{check::throwing_handler};
+  sim::Simulator sim;
+  net::ApConfig cfg;
+  cfg.reservation_window = sim::Duration::ms(10);
+  EXPECT_THROW(net::SharedAccessPoint(sim, cfg), CheckFailure);
+  EXPECT_NO_THROW(net::SharedAccessPoint{cfg});
 }
 
 #endif  // IOTSIM_CHECKS_ENABLED

@@ -1,5 +1,5 @@
-// The sharded fleet executor's determinism contract: for every ExecPolicy,
-// run(policy) serializes byte-identically to the single-threaded run() —
+// The shard runner's determinism contract: for every ExecPolicy,
+// run(policy) serializes byte-identically to the one-shard run() —
 // sharding is an execution shape, never a result change.
 #include <gtest/gtest.h>
 
@@ -57,17 +57,6 @@ TEST(FleetShard, ShardedIdealFleetIsByteIdentical) {
   }
 }
 
-TEST(FleetShard, WindowedBarriersAreByteIdentical) {
-  const Scenario sc = ideal_fleet(8);
-  const std::string single = run_json(sc, ExecPolicy{});
-  // A coarse and a very fine window: many barrier rounds must not change
-  // any hub's trajectory or the merged float sums.
-  EXPECT_EQ(single, run_json(sc, ExecPolicy{.shards = 4,
-                                            .window = sim::Duration::ms(250)}));
-  EXPECT_EQ(single, run_json(sc, ExecPolicy{.shards = 4,
-                                            .window = sim::Duration::ms(7)}));
-}
-
 TEST(FleetShard, SharedAccessPointCollapsesToExactSingleShard) {
   for (auto backoff : {net::BackoffPolicy::kFifo, net::BackoffPolicy::kCsma}) {
     const Scenario sc = contended_fleet(6, backoff);
@@ -94,6 +83,18 @@ TEST(FleetShard, WindowedAccessPointShardsByteIdentically) {
     EXPECT_EQ(single, run_json(sc, ExecPolicy{.shards = shards}))
         << "shards=" << shards;
   }
+  // A power trace keeps the fleet on one shard, where hubs attach the trace
+  // to the kernel-less AP's run: the result must not move, and the trace
+  // must integrate to the ledger's total.
+  Scenario traced = sc;
+  traced.record_power_trace = true;
+  const ScenarioResult r = run_scenario(traced, ExecPolicy{.shards = 4});
+  EXPECT_EQ(single, to_json_text(r));
+  EXPECT_EQ(r.energy.kernel().shards, 1);
+  ASSERT_NE(r.power_trace, nullptr);
+  const double trace_j =
+      r.power_trace->joules_between(sim::SimTime::origin(), sim::SimTime::origin() + r.span);
+  EXPECT_NEAR(trace_j, r.total_joules(), r.total_joules() * 1e-6);
 }
 
 TEST(FleetShard, WindowedAccessPointReportsShardsInKernelStats) {
@@ -102,23 +103,6 @@ TEST(FleetShard, WindowedAccessPointReportsShardsInKernelStats) {
   const auto sharded = run_scenario(sc, ExecPolicy{.shards = 2});
   EXPECT_EQ(sharded.energy.kernel().shards, 2);
   EXPECT_GT(sharded.energy.kernel().events_dispatched, 0u);
-}
-
-TEST(FleetShard, EffectiveWindowIsForcedToTheReservationWindow) {
-  const auto rw = sim::Duration::ms(10);
-  ScenarioRunner windowed{contended_fleet(4, net::BackoffPolicy::kFifo, rw)};
-  // Whatever quantum the policy asks for, a windowed AP pins the shard
-  // barrier to its reservation window — coarser or finer would either skip
-  // or split arbitration boundaries.
-  EXPECT_EQ(windowed.effective_window(ExecPolicy{}).count_ns(), rw.count_ns());
-  EXPECT_EQ(windowed.effective_window(ExecPolicy{.window = sim::Duration::ms(250)}).count_ns(),
-            rw.count_ns());
-  EXPECT_EQ(windowed.effective_window(ExecPolicy{.window = sim::Duration::ms(1)}).count_ns(),
-            rw.count_ns());
-  // Without a windowed AP the policy's own quantum stands.
-  ScenarioRunner ideal{ideal_fleet(4)};
-  EXPECT_EQ(ideal.effective_window(ExecPolicy{.window = sim::Duration::ms(250)}).count_ns(),
-            sim::Duration::ms(250).count_ns());
 }
 
 TEST(FleetShard, EffectiveShardsClampsToFleetAndPolicy) {

@@ -205,7 +205,7 @@ TEST(Environment, HarvestingBringsTheHubBack) {
 
 // The acceptance criterion: a mixed fleet — crashing hubs, harvesting
 // battery hubs and plain legacy hubs side by side — serializes
-// byte-identically single-threaded and at any shard count / barrier window.
+// byte-identically on one shard and at any shard count.
 TEST(Environment, ShardedFleetWithEnvironmentsIsByteIdentical) {
   env::EnvironmentConfig crashy;
   crashy.faults.model = env::FaultModel::kGilbertElliott;
@@ -235,10 +235,10 @@ TEST(Environment, ShardedFleetWithEnvironmentsIsByteIdentical) {
   const std::string single = core::to_json_text(core::run_scenario(sc, core::ExecPolicy{}));
   const std::string sharded3 =
       core::to_json_text(core::run_scenario(sc, core::ExecPolicy{.shards = 3}));
-  const std::string sharded6_windowed = core::to_json_text(core::run_scenario(
-      sc, core::ExecPolicy{.shards = 6, .window = sim::Duration::sec(1)}));
+  const std::string sharded6 =
+      core::to_json_text(core::run_scenario(sc, core::ExecPolicy{.shards = 6}));
   EXPECT_EQ(single, sharded3);
-  EXPECT_EQ(single, sharded6_windowed);
+  EXPECT_EQ(single, sharded6);
 
   // Per-hub overrides land on the right hubs: the crashy pair is modeled
   // without power limits, the solar pair is power-limited, the plain pair

@@ -82,8 +82,8 @@ TEST(SharedAccessPoint, FifoSerializesOverlappingBursts) {
   EXPECT_EQ(ap.stats(b).airtime_wait, Duration::ms(100));
   EXPECT_EQ(ap.stats(a).grants, 1u);
   EXPECT_EQ(ap.stats(b).grants, 1u);
-  EXPECT_EQ(ap.totals().grants, 2u);
-  EXPECT_EQ(ap.totals().airtime_wait, Duration::ms(100));
+  EXPECT_EQ(ap.stats().totals.grants, 2u);
+  EXPECT_EQ(ap.stats().totals.airtime_wait, Duration::ms(100));
 }
 
 TEST(SharedAccessPoint, QueueFullDropsTheExcessBurst) {
@@ -113,7 +113,7 @@ TEST(SharedAccessPoint, QueueFullDropsTheExcessBurst) {
   EXPECT_EQ(ap.stats(b).grants, 1u);
   EXPECT_EQ(ap.stats(c).grants, 0u);
   EXPECT_EQ(ap.stats(c).drops, 1u);
-  EXPECT_EQ(ap.totals().drops, 1u);
+  EXPECT_EQ(ap.stats().totals.drops, 1u);
 }
 
 TEST(SharedAccessPoint, SlowUplinkStretchesAirtime) {
@@ -183,7 +183,7 @@ TEST(SharedAccessPoint, CsmaBacksOffThenGrants) {
   EXPECT_GE(ap.stats(b).retries, 1u);
   EXPECT_GE(b_granted, SimTime::origin() + Duration::ms(20));
   EXPECT_GE(ap.stats(b).airtime_wait, Duration::ms(20));
-  EXPECT_EQ(ap.totals().grants, 2u);
+  EXPECT_EQ(ap.stats().totals.grants, 2u);
 }
 
 TEST(SharedAccessPoint, CsmaIsDeterministicForAFixedSeed) {
@@ -207,7 +207,7 @@ TEST(SharedAccessPoint, CsmaIsDeterministicForAFixedSeed) {
       std::int64_t end;
     };
     return Outcome{ap.stats(a).airtime_wait.count_ns(), ap.stats(b).airtime_wait.count_ns(),
-                   ap.stats(c).airtime_wait.count_ns(), ap.totals().retries,
+                   ap.stats(c).airtime_wait.count_ns(), ap.stats().totals.retries,
                    sim.now().count_ns()};
   };
   const auto first = run_once();
@@ -258,11 +258,23 @@ ApConfig windowed_ap(std::int64_t window_ms = 10) {
   return cfg;
 }
 
+/// The shard runner's driver for a windowed AP, on one kernel: drain the
+/// simulator to each reservation-window boundary, then arbitrate there,
+/// until no event or request is left.
+void run_windowed(sim::Simulator& sim, SharedAccessPoint& ap) {
+  const Duration window = ap.config().reservation_window;
+  for (SimTime boundary = SimTime::origin() + window;; boundary += window) {
+    sim.drain_until(boundary);
+    ap.arbitrate_window(boundary);
+    if (sim.stats().pending_events == 0 && ap.pending_requests() == 0) return;
+  }
+}
+
 TEST(SharedAccessPointWindowed, BatchesAWindowAndGrantsInRequestTimeOrder) {
   sim::Simulator sim;
-  SharedAccessPoint ap{sim, windowed_ap()};
-  const std::size_t a = ap.attach("nic_a", Rng{1});
-  const std::size_t b = ap.attach("nic_b", Rng{2});
+  SharedAccessPoint ap{windowed_ap()};
+  const std::size_t a = ap.attach_at(0, "nic_a", Rng{1}, sim);
+  const std::size_t b = ap.attach_at(1, "nic_b", Rng{2}, sim);
 
   SimTime a_granted, b_granted;
   auto pa = [&]() -> Task<void> {
@@ -281,7 +293,7 @@ TEST(SharedAccessPointWindowed, BatchesAWindowAndGrantsInRequestTimeOrder) {
   };
   sim.spawn(pa());
   sim.spawn(pb());
-  sim.run();
+  run_windowed(sim, ap);
 
   // Both requests land in the [0, 10 ms) window and arbitrate at 10 ms in
   // (request time, slot, seq) order: B asked at 1 ms so it transmits first,
@@ -290,15 +302,15 @@ TEST(SharedAccessPointWindowed, BatchesAWindowAndGrantsInRequestTimeOrder) {
   EXPECT_EQ(a_granted, SimTime::origin() + Duration::ms(20));
   EXPECT_EQ(ap.stats(b).airtime_wait, Duration::ms(9));
   EXPECT_EQ(ap.stats(a).airtime_wait, Duration::ms(17));
-  EXPECT_EQ(ap.totals().grants, 2u);
+  EXPECT_EQ(ap.stats().totals.grants, 2u);
   EXPECT_EQ(ap.pending_requests(), 0u);
 }
 
 TEST(SharedAccessPointWindowed, SimultaneousRequestsTieBreakOnTheSlot) {
   sim::Simulator sim;
-  SharedAccessPoint ap{sim, windowed_ap()};
-  const std::size_t a = ap.attach("nic_a", Rng{1});
-  const std::size_t b = ap.attach("nic_b", Rng{2});
+  SharedAccessPoint ap{windowed_ap()};
+  const std::size_t a = ap.attach_at(0, "nic_a", Rng{1}, sim);
+  const std::size_t b = ap.attach_at(1, "nic_b", Rng{2}, sim);
 
   SimTime a_granted, b_granted;
   auto send = [&](std::size_t att, SimTime& granted) -> Task<void> {
@@ -310,15 +322,15 @@ TEST(SharedAccessPointWindowed, SimultaneousRequestsTieBreakOnTheSlot) {
   // Spawn order must not matter: the lower slot wins the equal-time tie.
   sim.spawn(send(b, b_granted));
   sim.spawn(send(a, a_granted));
-  sim.run();
+  run_windowed(sim, ap);
   EXPECT_EQ(a_granted, SimTime::origin() + Duration::ms(10));
   EXPECT_EQ(b_granted, SimTime::origin() + Duration::ms(15));
 }
 
 TEST(SharedAccessPointWindowed, BoundaryTimeRequestWaitsForTheNextWindow) {
   sim::Simulator sim;
-  SharedAccessPoint ap{sim, windowed_ap()};
-  const std::size_t a = ap.attach("nic", Rng{1});
+  SharedAccessPoint ap{windowed_ap()};
+  const std::size_t a = ap.attach_at(0, "nic", Rng{1}, sim);
 
   SimTime granted;
   auto p = [&]() -> Task<void> {
@@ -329,7 +341,7 @@ TEST(SharedAccessPointWindowed, BoundaryTimeRequestWaitsForTheNextWindow) {
     co_await sim::Delay{g.airtime};
   };
   sim.spawn(p());
-  sim.run();
+  run_windowed(sim, ap);
   // The strict `requested < boundary` filter mirrors that boundary-time model
   // events run before arbitration: the request joins the [10, 20 ms) batch.
   EXPECT_EQ(granted, SimTime::origin() + Duration::ms(20));
@@ -340,10 +352,10 @@ TEST(SharedAccessPointWindowed, QueueDepthBoundsReservationsPerBoundary) {
   ApConfig cfg = windowed_ap();
   cfg.queue_depth = 1;
   sim::Simulator sim;
-  SharedAccessPoint ap{sim, cfg};
-  const std::size_t a = ap.attach("nic_a", Rng{1});
-  const std::size_t b = ap.attach("nic_b", Rng{2});
-  const std::size_t c = ap.attach("nic_c", Rng{3});
+  SharedAccessPoint ap{cfg};
+  const std::size_t a = ap.attach_at(0, "nic_a", Rng{1}, sim);
+  const std::size_t b = ap.attach_at(1, "nic_b", Rng{2}, sim);
+  const std::size_t c = ap.attach_at(2, "nic_c", Rng{3}, sim);
 
   int granted = 0, dropped = 0;
   auto send = [&](std::size_t att) -> Task<void> {
@@ -355,19 +367,19 @@ TEST(SharedAccessPointWindowed, QueueDepthBoundsReservationsPerBoundary) {
   sim.spawn(send(a));
   sim.spawn(send(b));
   sim.spawn(send(c));
-  sim.run();
+  run_windowed(sim, ap);
   // One reservation fits; the rest of the batch sees a full queue and is
   // refused at the boundary itself, not at some later channel-free time.
   EXPECT_EQ(granted, 1);
   EXPECT_EQ(dropped, 2);
-  EXPECT_EQ(ap.totals().drops, 2u);
+  EXPECT_EQ(ap.stats().totals.drops, 2u);
   EXPECT_EQ(ap.stats(a).grants, 1u);  // lowest slot wins the tie
 }
 
 TEST(SharedAccessPointWindowed, ChannelIsNeverGrabItNowFree) {
   sim::Simulator sim;
-  SharedAccessPoint ap{sim, windowed_ap()};
-  (void)ap.attach("nic", Rng{1});
+  SharedAccessPoint ap{windowed_ap()};
+  (void)ap.attach_at(0, "nic", Rng{1}, sim);
   EXPECT_FALSE(ap.free_now());  // idle-listen is deterministic, never a race
   EXPECT_EQ(ap.stats().kind, "shared-ap-windowed");
 }
@@ -399,7 +411,7 @@ TEST(SharedAccessPointWindowed, KernelLessApArbitratesFromExternalBoundaries) {
   sim.run();
   EXPECT_EQ(b_granted, SimTime::origin() + Duration::ms(10));
   EXPECT_EQ(a_granted, SimTime::origin() + Duration::ms(14));
-  EXPECT_EQ(ap.totals().grants, 2u);
+  EXPECT_EQ(ap.stats().totals.grants, 2u);
 }
 
 TEST(MediumStats, AggregateSnapshotMatchesLegacyAccessors) {
@@ -421,9 +433,9 @@ TEST(MediumStats, AggregateSnapshotMatchesLegacyAccessors) {
   EXPECT_EQ(s.kind, "shared-ap-fifo");
   EXPECT_EQ(s.attachments, 2u);
   EXPECT_EQ(s.pending, 0);
-  // The one aggregate snapshot carries what the legacy accessors reported.
-  EXPECT_EQ(s.totals.grants, ap.totals().grants);
-  EXPECT_EQ(s.totals.airtime_wait, ap.totals().airtime_wait);
+  // B queued behind A's 100 ms burst.
+  EXPECT_EQ(s.totals.grants, 2u);
+  EXPECT_EQ(s.totals.airtime_wait, Duration::ms(100));
   EXPECT_EQ(s.busy_airtime, Duration::ms(140));
   EXPECT_DOUBLE_EQ(ap.utilization(sim.now()),
                    s.busy_airtime.to_seconds() / sim.now().to_seconds());

@@ -117,44 +117,6 @@ TEST(EventQueue, PinnedSchedulerNeverAutoMigrates) {
   EXPECT_EQ(q.scheduler_kind(), SchedulerKind::kBinaryHeap);
 }
 
-TEST(EventQueue, SystemEventFiresAfterRegularEventsAtSameTime) {
-  EventQueue q;
-  std::vector<int> order;
-  const auto t = SimTime::from_ns(40);
-  q.schedule(t, [&] { order.push_back(1); });
-  // Registered *before* the later regular events, yet fires after them.
-  q.schedule_last(t, [&] { order.push_back(99); });
-  q.schedule(t, [&] { order.push_back(2); });
-  q.schedule(SimTime::from_ns(50), [&] { order.push_back(3); });
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 99, 3}));
-}
-
-TEST(EventQueue, SystemEventsKeepRegistrationOrderAmongThemselves) {
-  EventQueue q;
-  std::vector<int> order;
-  const auto t = SimTime::from_ns(7);
-  q.schedule_last(t, [&] { order.push_back(10); });
-  q.schedule_last(t, [&] { order.push_back(11); });
-  q.schedule(t, [&] { order.push_back(0); });
-  while (!q.empty()) q.pop().callback();
-  // Ids descend from 2^64−1 and the tie-break is ascending id, so same-time
-  // system events pop in *reverse* registration order. Documented, not
-  // relied on: the kernel arms at most one system event per timestamp.
-  EXPECT_EQ(order, (std::vector<int>{0, 11, 10}));
-}
-
-TEST(EventQueue, SystemEventIdsSitAboveTheFloorAndAreCancellable) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule_last(SimTime::from_ns(1), [&] { ++fired; });
-  EXPECT_GE(id, EventQueue::kSystemIdFloor);
-  EXPECT_LT(q.schedule(SimTime::from_ns(1), [] {}), EventQueue::kSystemIdFloor);
-  q.cancel(id);
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, 0);
-}
-
 TEST(EventQueue, PoppedIdIsTheScheduledId) {
   EventQueue q;
   std::vector<EventId> scheduled;
@@ -165,7 +127,6 @@ TEST(EventQueue, PoppedIdIsTheScheduledId) {
     // reuse them.
     if (i % 2 == 1) popped.push_back(q.pop().id);
   }
-  scheduled.push_back(q.schedule_last(SimTime::from_ns(9), [] {}));
   while (!q.empty()) popped.push_back(q.pop().id);
   // Times ascend with the schedule order, so pops come back in that order.
   EXPECT_EQ(popped, scheduled);
@@ -208,25 +169,6 @@ TEST(EventQueue, CancelledBeforeMigrationFreeTheirSlots) {
     EXPECT_LT(static_cast<std::uint32_t>(id), slab_end);
   }
   EXPECT_EQ(q.size(), ids.size());
-}
-
-TEST(EventQueue, SystemIdsStayAboveTheFloorAfterSlotReuse) {
-  EventQueue q;
-  // Cycle one slot between regular and system events several times.
-  for (int round = 0; round < 4; ++round) {
-    const EventId regular = q.schedule(SimTime::from_ns(round), [] {});
-    EXPECT_LT(regular, EventQueue::kSystemIdFloor);
-    EXPECT_EQ(q.pop().id, regular);
-    const EventId system = q.schedule_last(SimTime::from_ns(round), [] {});
-    EXPECT_GE(system, EventQueue::kSystemIdFloor);
-    EXPECT_EQ(static_cast<std::uint32_t>(system), static_cast<std::uint32_t>(regular));
-    EXPECT_EQ(q.pop().id, system);
-    // The stale regular id must not cancel a system event in its slot.
-    const EventId next = q.schedule_last(SimTime::from_ns(round), [] {});
-    q.cancel(regular);
-    EXPECT_EQ(q.size(), 1u);
-    EXPECT_EQ(q.pop().id, next);
-  }
 }
 
 TEST(EventQueue, CallbackStoresSixteenByteCapturesInline) {

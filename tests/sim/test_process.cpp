@@ -222,19 +222,6 @@ TEST(Simulator, ChildExceptionPropagatesToParent) {
   EXPECT_TRUE(caught);
 }
 
-TEST(Simulator, ClockListenerObservesAdvances) {
-  Simulator sim;
-  std::vector<double> ticks;
-  sim.add_clock_listener([&](SimTime t) { ticks.push_back(t.to_ms()); });
-  auto proc = []() -> Task<void> {
-    co_await Delay{Duration::ms(2)};
-    co_await Delay{Duration::ms(3)};
-  };
-  sim.spawn(proc());
-  sim.run();
-  EXPECT_EQ(ticks, (std::vector<double>{2.0, 5.0}));
-}
-
 TEST(Simulator, ZeroDelayYieldsButKeepsTime) {
   Simulator sim;
   std::vector<int> order;

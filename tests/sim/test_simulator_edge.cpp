@@ -101,35 +101,6 @@ TEST(SimulatorEdge, MutexStormStaysFifoAndExclusive) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(SimulatorEdge, SystemEventRunsAfterRegularEventsAtItsTimestamp) {
-  Simulator sim;
-  std::vector<int> order;
-  const SimTime t = SimTime::origin() + Duration::ms(2);
-  sim.at(t, [&] { order.push_back(1); });
-  sim.at_system(t, [&] { order.push_back(99); });
-  sim.at(t, [&] { order.push_back(2); });  // registered after the system event
-  sim.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 99}));
-}
-
-TEST(SimulatorEdge, SystemEventsAreNotCountedAsDispatched) {
-  Simulator sim;
-  int fired = 0;
-  sim.at(SimTime::origin() + Duration::ms(1), [&] { ++fired; });
-  sim.at_system(SimTime::origin() + Duration::ms(1), [&] { ++fired; });
-  sim.at_system(SimTime::origin() + Duration::ms(3), [&] {
-    ++fired;
-    // System events may schedule regular events — those count normally.
-    sim.at(sim.now(), [&] { ++fired; });
-  });
-  sim.run();
-  EXPECT_EQ(fired, 4);
-  // Only the two regular events count: events_dispatched must be identical
-  // whether kernel plumbing (AP arbitration) runs on system events or on
-  // shard barriers that need none.
-  EXPECT_EQ(sim.stats().events_dispatched, 2u);
-}
-
 TEST(SimulatorEdge, WhenAllSurvivesImmediateTasks) {
   Simulator sim;
   auto instant = []() -> Task<void> { co_return; };
