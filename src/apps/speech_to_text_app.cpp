@@ -91,17 +91,15 @@ class SpeechToTextApp final : public IotApp {
         second = d;
       }
     }
-    dsp::DtwMatch match{best_idx, best};
-    if (match.index >= templates_.size() || best > 0.93 * second || best > 120.0) {
+    if (best_idx >= templates_.size() || best > 0.93 * second || best > 120.0) {
       out.summary = "(unrecognised)";
       return out;
     }
     ++decoded_;
-    out.metric = static_cast<double>(match.index);
+    out.metric = static_cast<double>(best_idx);
     out.event = true;
     std::ostringstream os;
-    os << "word=\"" << kWords[match.index] << "\" dist=" << match.distance
-       << " total=" << decoded_;
+    os << "word=\"" << kWords[best_idx] << "\" dist=" << best << " total=" << decoded_;
     out.summary = os.str();
     out.net_payload_bytes = 64;  // transcript fragment
     return out;

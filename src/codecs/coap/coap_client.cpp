@@ -17,12 +17,6 @@ Message CoapClient::make_get(const std::string& path) {
   return req;
 }
 
-Message CoapClient::make_observe(const std::string& path) {
-  Message req = make_get(path);
-  req.add_option(static_cast<OptionNumber>(ExtOption::kObserve), {0});
-  return req;
-}
-
 Message CoapClient::make_block_get(const std::string& path, std::uint32_t num,
                                    std::uint32_t block_size) {
   Message req = make_get(path);

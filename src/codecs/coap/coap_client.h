@@ -16,8 +16,6 @@ class CoapClient {
  public:
   /// Builds a GET for `path`, assigning a fresh message id and token.
   [[nodiscard]] Message make_get(const std::string& path);
-  /// Builds a GET that registers this client as an observer of `path`.
-  [[nodiscard]] Message make_observe(const std::string& path);
   /// Builds a GET for block `num` of `path` at `block_size`.
   [[nodiscard]] Message make_block_get(const std::string& path, std::uint32_t num,
                                        std::uint32_t block_size);

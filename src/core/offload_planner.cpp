@@ -19,14 +19,6 @@ std::size_t sensor_buffer_bytes(const sensors::SensorSpec& s) {
 
 }  // namespace
 
-std::set<apps::AppId> OffloadPlan::offloaded_set() const {
-  std::set<apps::AppId> out;
-  for (const auto& [id, d] : decisions) {
-    if (d.offload) out.insert(id);
-  }
-  return out;
-}
-
 OffloadPlan OffloadPlanner::plan(const std::vector<apps::AppId>& candidates) const {
   OffloadPlan plan;
   std::size_t ram_left = hub_.mcu_available_ram();

@@ -4,7 +4,6 @@
 
 #include <map>
 #include <utility>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -26,7 +25,6 @@ struct OffloadPlan {
     auto it = decisions.find(id);
     return it != decisions.end() && it->second.offload;
   }
-  [[nodiscard]] std::set<apps::AppId> offloaded_set() const;
 };
 
 class OffloadPlanner {

@@ -5,11 +5,9 @@
 #include <utility>
 #include <exception>
 #include <limits>
-#include <span>
 #include <thread>
 
 #include "cache/result_cache.h"
-#include "codecs/util/checksum.h"
 #include "core/scenario_runner.h"
 #include "core/thread_pool.h"
 
@@ -180,12 +178,6 @@ std::string scenario_key(const Scenario& sc) {
   return std::move(s).take();
 }
 
-std::uint32_t scenario_fingerprint(const Scenario& sc) {
-  const std::string key = scenario_key(sc);
-  return codecs::util::crc32(
-      std::span{reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
-}
-
 SweepRunner::SweepRunner() = default;
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_{std::move(opts)} {
@@ -197,11 +189,6 @@ SweepRunner::SweepRunner(SweepOptions opts) : opts_{std::move(opts)} {
 }
 
 SweepRunner::~SweepRunner() = default;
-
-void SweepRunner::clear_cache() {
-  cache_.clear();
-  stats_ = SweepStats{};
-}
 
 int SweepRunner::jobs() const {
   if (opts_.jobs > 0) return opts_.jobs;
@@ -340,12 +327,6 @@ ScenarioResult SweepRunner::run_one(const Scenario& scenario) {
   if (disk_ && disk_->store(key, *result)) ++stats_.disk_stores;
   cache_.emplace(std::move(key), result);
   return *result;
-}
-
-std::vector<ScenarioResult> run_sweep(const std::vector<Scenario>& scenarios,
-                                      SweepOptions opts) {
-  SweepRunner runner{opts};
-  return runner.run(scenarios);
 }
 
 }  // namespace iotsim::core

@@ -33,10 +33,6 @@ namespace iotsim::core {
 /// memo key (no collision risk: the full serialisation is compared).
 [[nodiscard]] std::string scenario_key(const Scenario& sc);
 
-/// CRC-32 digest of scenario_key() — a compact fingerprint for logs and
-/// cache diagnostics (reuses codecs/util/checksum).
-[[nodiscard]] std::uint32_t scenario_fingerprint(const Scenario& sc);
-
 struct SweepOptions {
   /// Worker threads; <= 0 ⇒ std::thread::hardware_concurrency().
   int jobs = 0;
@@ -85,12 +81,6 @@ class SweepRunner {
 
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
 
-  /// Drops the in-memory memo AND zeroes the stats counters, so warm/cold
-  /// bench phases report clean hit-rate numbers. The persistent disk tier
-  /// (SweepOptions::cache_dir) is deliberately untouched — it is exactly
-  /// the layer a cold/warm comparison measures against.
-  void clear_cache();
-
   /// The persistent tier, or nullptr when cache_dir was empty (or memoize
   /// off). Exposed for stats and tests; lookups/stores go through run*().
   [[nodiscard]] const cache::ResultCache* disk_cache() const { return disk_.get(); }
@@ -103,9 +93,5 @@ class SweepRunner {
   /// Second tier: probed after a memo miss, written after execution.
   std::unique_ptr<cache::ResultCache> disk_;
 };
-
-/// Convenience: one-shot parallel sweep.
-[[nodiscard]] std::vector<ScenarioResult> run_sweep(const std::vector<Scenario>& scenarios,
-                                                    SweepOptions opts = {});
 
 }  // namespace iotsim::core

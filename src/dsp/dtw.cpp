@@ -33,14 +33,4 @@ double dtw_distance(const FeatureSeq& a, const FeatureSeq& b) {
   return prev[m] / static_cast<double>(n + m);
 }
 
-DtwMatch best_match(const FeatureSeq& query, std::span<const FeatureSeq> templates) {
-  DtwMatch best{std::numeric_limits<std::size_t>::max(),
-                std::numeric_limits<double>::infinity()};
-  for (std::size_t i = 0; i < templates.size(); ++i) {
-    const double d = dtw_distance(query, templates[i]);
-    if (d < best.distance) best = {i, d};
-  }
-  return best;
-}
-
 }  // namespace iotsim::dsp

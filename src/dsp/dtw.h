@@ -17,13 +17,4 @@ using FeatureSeq = std::vector<std::vector<double>>;
 /// Returns +inf for empty inputs.
 [[nodiscard]] double dtw_distance(const FeatureSeq& a, const FeatureSeq& b);
 
-/// Index of the template with the lowest DTW distance to `query`
-/// (SIZE_MAX when `templates` is empty), plus the distance itself.
-struct DtwMatch {
-  std::size_t index;
-  double distance;
-};
-[[nodiscard]] DtwMatch best_match(const FeatureSeq& query,
-                                  std::span<const FeatureSeq> templates);
-
 }  // namespace iotsim::dsp

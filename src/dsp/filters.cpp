@@ -49,13 +49,6 @@ double Biquad::process(double x) {
   return y;
 }
 
-void Biquad::process(std::span<const double> in, std::span<double> out) {
-  assert(in.size() == out.size());
-  for (std::size_t i = 0; i < in.size(); ++i) out[i] = process(in[i]);
-}
-
-void Biquad::reset() { x1_ = x2_ = y1_ = y2_ = 0.0; }
-
 MovingAverage::MovingAverage(std::size_t window) : window_{window} { assert(window > 0); }
 
 double MovingAverage::process(double x) {
@@ -68,11 +61,6 @@ double MovingAverage::process(double x) {
   return sum_ / static_cast<double>(buf_.size());
 }
 
-void MovingAverage::reset() {
-  buf_.clear();
-  sum_ = 0.0;
-}
-
 double Derivative::process(double x) {
   // y[n] = (2x[n] + x[n-1] - x[n-3] - 2x[n-4]) / 8
   const double y = (2.0 * x + x_[0] - x_[2] - 2.0 * x_[3]) / 8.0;
@@ -82,8 +70,6 @@ double Derivative::process(double x) {
   x_[0] = x;
   return y;
 }
-
-void Derivative::reset() { x_[0] = x_[1] = x_[2] = x_[3] = 0.0; }
 
 Stats compute_stats(std::span<const double> xs) {
   Stats s;

@@ -20,8 +20,6 @@ class Biquad {
   [[nodiscard]] static Biquad band_pass(double fs, double fc, double q);
 
   [[nodiscard]] double process(double x);
-  void process(std::span<const double> in, std::span<double> out);
-  void reset();
 
  private:
   double b0_, b1_, b2_, a1_, a2_;
@@ -33,7 +31,6 @@ class MovingAverage {
  public:
   explicit MovingAverage(std::size_t window);
   [[nodiscard]] double process(double x);
-  void reset();
   [[nodiscard]] std::size_t window() const { return window_; }
 
  private:
@@ -46,7 +43,6 @@ class MovingAverage {
 class Derivative {
  public:
   [[nodiscard]] double process(double x);
-  void reset();
 
  private:
   double x_[4] = {0, 0, 0, 0};

@@ -20,12 +20,6 @@ double Battery::state_of_charge() const {
   return soc;
 }
 
-bool Battery::drain(double joules) {
-  IOTSIM_CHECK_GE(joules, 0.0, "cannot drain a negative amount (charge goes through recharge())");
-  drained_j_ += joules;
-  return !depleted();
-}
-
 double Battery::stored_joules() const { return std::max(0.0, usable_joules() - drained_j_); }
 
 double Battery::drain_clamped(double joules) {
@@ -40,12 +34,6 @@ double Battery::recharge(double joules) {
   const double stored = std::min(joules, drained_j_);
   drained_j_ -= stored;
   return stored;
-}
-
-sim::Duration Battery::remaining_lifetime(double watts) const {
-  if (watts <= 0.0) return sim::Duration::max();  // never depletes
-  const double left = std::max(0.0, usable_joules() - drained_j_);
-  return sim::Duration::from_seconds(left / watts);
 }
 
 sim::Duration Battery::lifetime(double watts) const {

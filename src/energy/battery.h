@@ -19,12 +19,6 @@ class Battery {
   [[nodiscard]] double state_of_charge() const;
   [[nodiscard]] bool depleted() const { return drained_j_ >= usable_joules(); }
 
-  /// Accounts a consumed amount of energy. Returns false once the usable
-  /// capacity is exhausted (the draw still books, charge floors at empty).
-  bool drain(double joules);
-  bool drain(const EnergyReport& report) { return drain(report.total_joules()); }
-  void recharge() { drained_j_ = 0.0; }
-
   // --- online semantics (env::PowerSource drives these during a run) ---
 
   /// Remaining stored usable energy right now.
@@ -37,11 +31,8 @@ class Battery {
   /// capacity. Returns the joules actually stored.
   double recharge(double joules);
 
-  /// How long the remaining usable energy lasts at a constant draw.
-  /// A non-positive draw never depletes the battery: Duration::max().
-  [[nodiscard]] sim::Duration remaining_lifetime(double watts) const;
-  /// Full-charge lifetime at a constant draw (Duration::max() at zero or
-  /// negative draw, as above).
+  /// Full-charge lifetime at a constant draw. A non-positive draw never
+  /// depletes the battery: Duration::max().
   [[nodiscard]] sim::Duration lifetime(double watts) const;
   /// Full-charge lifetime at a scenario's average power.
   [[nodiscard]] sim::Duration lifetime(const EnergyReport& report) const {

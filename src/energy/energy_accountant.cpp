@@ -77,8 +77,4 @@ sim::Duration EnergyAccountant::busy_time(ComponentId c, Routine r) const {
   return ledger_.at(c)[index_of(r)].time;
 }
 
-void EnergyAccountant::reset() {
-  for (auto& row : ledger_) row = {};
-}
-
 }  // namespace iotsim::energy

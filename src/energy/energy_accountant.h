@@ -59,8 +59,6 @@ class EnergyAccountant {
   /// checks are disabled.
   void check_conservation() const;
 
-  void reset();
-
  private:
   struct Cell {
     double joules = 0.0;

@@ -77,24 +77,9 @@ double EnergyReport::total_joules() const {
   return t;
 }
 
-sim::Duration EnergyReport::total_busy_time() const {
-  sim::Duration t = sim::Duration::zero();
-  for (Routine r : kPaperRoutines) t += busy_[index_of(r)];
-  t += busy_[index_of(Routine::kNetwork)];
-  return t;
-}
-
 double EnergyReport::average_watts() const {
   const double s = elapsed_.to_seconds();
   return s > 0.0 ? total_joules() / s : 0.0;
-}
-
-double EnergyReport::component_joules(const std::string& name) const {
-  auto it = component_j_.find(name);
-  if (it == component_j_.end()) return 0.0;
-  double t = 0.0;
-  for (double j : it->second) t += j;
-  return t;
 }
 
 double EnergyReport::paper_joules(Routine r) const {

@@ -96,11 +96,9 @@ class EnergyReport {
   [[nodiscard]] double joules(Routine r) const { return routine_j_[index_of(r)]; }
   [[nodiscard]] double total_joules() const;
   [[nodiscard]] sim::Duration busy_time(Routine r) const { return busy_[index_of(r)]; }
-  [[nodiscard]] sim::Duration total_busy_time() const;
   [[nodiscard]] sim::Duration elapsed() const { return elapsed_; }
   [[nodiscard]] double average_watts() const;
 
-  [[nodiscard]] double component_joules(const std::string& name) const;
   [[nodiscard]] const std::map<std::string, std::array<double, kRoutineCount>>& by_component()
       const {
     return component_j_;

@@ -60,12 +60,6 @@ void PowerStateMachine::set_state(StateId s) {
   state_ = s;
 }
 
-void PowerStateMachine::set_routine(Routine r) {
-  if (r == routine_) return;
-  close_segment();
-  routine_ = r;
-}
-
 void PowerStateMachine::set(StateId s, Routine r) {
   if (s == state_ && r == routine_) return;
   check_transition(s);

@@ -1,6 +1,6 @@
 // Generic power-state machine with routine attribution.
 //
-// A hardware component owns one of these; every set_state/set_routine call
+// A hardware component owns one of these; every set_state/set call
 // flushes the elapsed piecewise-constant segment into the EnergyAccountant
 // and to any registered listeners (e.g. trace::PowerTrace).
 #pragma once
@@ -70,8 +70,6 @@ class PowerStateMachine {
 
   /// Changes power state, closing the current segment.
   void set_state(StateId s);
-  /// Changes energy attribution, closing the current segment.
-  void set_routine(Routine r);
   void set(StateId s, Routine r);
 
   /// Integrates the open segment up to now (call at end of simulation).

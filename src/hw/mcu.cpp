@@ -24,10 +24,4 @@ bool Mcu::reserve_ram(std::size_t bytes) {
   return true;
 }
 
-void Mcu::release_ram(std::size_t bytes) {
-  IOTSIM_CHECK_LE(bytes, reserved_, "mcu '%s': releasing %zu bytes but only %zu reserved",
-                  name().c_str(), bytes, reserved_);
-  reserved_ -= bytes;
-}
-
 }  // namespace iotsim::hw

@@ -20,7 +20,6 @@ class Mcu : public Processor {
 
   /// Claims `bytes` of MCU RAM; returns false if it would overflow.
   [[nodiscard]] bool reserve_ram(std::size_t bytes);
-  void release_ram(std::size_t bytes);
   [[nodiscard]] std::size_t reserved_ram() const { return reserved_; }
 
  private:

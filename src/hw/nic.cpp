@@ -20,11 +20,6 @@ Nic::Nic(sim::Simulator& sim, energy::EnergyAccountant& acct, std::string name,
             {"tail", spec.rx_w, false}},
            kIdle} {}
 
-void Nic::attach_medium(net::Medium& medium, sim::Rng backoff_rng) {
-  medium_ = &medium;
-  attachment_ = medium.attach(name_, backoff_rng);
-}
-
 void Nic::attach_medium(net::Medium& medium, sim::Rng backoff_rng, std::size_t slot) {
   medium_ = &medium;
   attachment_ = medium.attach_at(slot, name_, backoff_rng, sim_);

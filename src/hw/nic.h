@@ -36,15 +36,12 @@ class Nic {
   Nic(sim::Simulator& sim, energy::EnergyAccountant& acct, std::string name,
       energy::NicPowerSpec spec);
 
-  /// Routes this NIC's bursts through `medium`. `backoff_rng` seeds the
-  /// medium's randomized backoff for this NIC — derive it from the hub seed
-  /// so runs stay deterministic. The medium must outlive the NIC.
-  void attach_medium(net::Medium& medium, sim::Rng backoff_rng);
-
-  /// Slot-addressed variant for lazily built fleets: claims `slot` on the
-  /// medium (hub i's main/MCU NICs take 2i and 2i+1) so attachment handles
-  /// do not depend on cross-shard construction order, and hands the medium
-  /// this NIC's kernel for request timestamps.
+  /// Routes this NIC's bursts through `medium`, claiming `slot` on it (hub
+  /// i's main/MCU NICs take 2i and 2i+1) so attachment handles do not
+  /// depend on cross-shard construction order, and hands the medium this
+  /// NIC's kernel for request timestamps. `backoff_rng` seeds the medium's
+  /// randomized backoff for this NIC — derive it from the hub seed so runs
+  /// stay deterministic. The medium must outlive the NIC.
   void attach_medium(net::Medium& medium, sim::Rng backoff_rng, std::size_t slot);
 
   /// Time on the wire for a burst of `bytes` at this NIC's own speed; a

@@ -70,10 +70,6 @@ std::vector<energy::PowerState> Processor::build_states() const {
 
 bool Processor::asleep() const { return psm_.state() >= kFirstSleep; }
 
-sim::Duration Processor::compute_time(double million_instructions) const {
-  return sim::Duration::from_seconds(million_instructions / spec_.nominal_mips);
-}
-
 Processor::WaitHandle Processor::add_waiter(SleepPolicy policy, energy::Routine attr) {
   waiters_.push_front(WaitReg{policy, attr});
   return waiters_.begin();
@@ -152,11 +148,6 @@ sim::Task<void> Processor::execute(sim::Duration d, energy::Routine attr) {
   --busy_depth_;
   refresh_idle_state();
   exec_mutex_.release();
-}
-
-sim::Task<void> Processor::execute_instructions(double million_instructions,
-                                                energy::Routine attr) {
-  co_await execute(compute_time(million_instructions), attr);
 }
 
 SleepPolicy Processor::policy_for_gap(sim::Duration gap, SleepPolicy max_policy) const {

@@ -75,10 +75,6 @@ class Processor {
   /// latency+energy first if the processor is asleep.
   [[nodiscard]] sim::Task<void> execute(sim::Duration d, energy::Routine attr);
 
-  /// Executes `million_instructions` at the processor's nominal MIPS.
-  [[nodiscard]] sim::Task<void> execute_instructions(double million_instructions,
-                                                     energy::Routine attr);
-
   /// Timer wait: the caller resumes after `d`. While waiting, the processor
   /// may sleep as deep as `policy` permits (and only if `d` clears the
   /// break-even threshold — otherwise it degrades to an active wait).
@@ -97,9 +93,6 @@ class Processor {
   [[nodiscard]] bool executing() const { return busy_depth_ > 0; }
   [[nodiscard]] bool asleep() const;
   [[nodiscard]] std::uint64_t wakeup_count() const { return wakeups_; }
-
-  /// Duration of `million_instructions` at nominal rate.
-  [[nodiscard]] sim::Duration compute_time(double million_instructions) const;
 
   /// Deepest sleep mode whose break-even an idle gap of `gap` clears,
   /// capped at `max_policy` — the PM-QoS prediction a driver with a known

@@ -84,7 +84,6 @@
 #include "cache/result_codec.h"
 
 // The paper's schemes.
-#include "core/comparison.h"
 #include "core/hub_runtime.h"
 #include "core/offload_planner.h"
 #include "core/qos.h"

@@ -72,8 +72,6 @@ ArenaScope::ArenaScope(Arena& arena) : previous_{tls_arena} { tls_arena = &arena
 
 ArenaScope::~ArenaScope() { tls_arena = previous_; }
 
-Arena* current_arena() { return tls_arena; }
-
 void* frame_allocate(std::size_t size) {
   // alignas on FrameHeader makes sizeof a multiple of max_align, so the
   // payload after the header stays max_align-aligned.

@@ -121,9 +121,6 @@ class ArenaScope {
   Arena* previous_;
 };
 
-/// The thread's current frame arena, or nullptr when no scope is active.
-[[nodiscard]] Arena* current_arena();
-
 /// Coroutine-frame allocation: arena-backed under an ArenaScope, global heap
 /// otherwise. A header tags each block with its owner so frame_free routes
 /// correctly regardless of the scope active at destruction time.

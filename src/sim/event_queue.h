@@ -11,8 +11,7 @@
 // Callbacks live in a slab of slots reused through a free list; each
 // scheduler entry carries its slot index, so reaching an event's callback
 // is an index, not a lookup, and a callback is stored inline without
-// allocating. An EventId is a generation-tagged slot handle: a stale id
-// whose slot has since been reused fails the generation check.
+// allocating.
 #pragma once
 
 #include <array>
@@ -28,10 +27,6 @@
 #include "sim/sim_time.h"
 
 namespace iotsim::sim {
-
-/// Slot handle: bits 0-31 hold the slab slot, bits 32-62 its generation
-/// (never 0).
-using EventId = std::uint64_t;
 
 /// A non-allocating `void()` callable: a trivially copyable functor of at
 /// most kCapacity bytes is stored inline as its bytes and called on a copy
@@ -75,33 +70,28 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  /// Live events beyond which the queue migrates from the binary heap to
+  /// Pending events beyond which the queue migrates from the binary heap to
   /// the calendar queue (one-way; see force_scheduler for tests).
   static constexpr std::size_t kCalendarSwitchThreshold = 4096;
 
   EventQueue();
 
-  /// Schedules `cb` to run at absolute time `when`. Returns a handle that can
-  /// be passed to `cancel`.
-  EventId schedule(SimTime when, Callback cb);
+  /// Schedules `cb` to run at absolute time `when`.
+  void schedule(SimTime when, Callback cb);
 
-  /// Marks a still-pending event as cancelled; its slot is freed when the
-  /// entry reaches the front. Cancelling an already-fired, already-cancelled
-  /// or unknown id is a harmless no-op.
-  void cancel(EventId id);
-
-  [[nodiscard]] bool empty() const { return live_count_ == 0; }
-  [[nodiscard]] std::size_t size() const { return live_count_; }
-  /// High-water mark of the live event population.
+  [[nodiscard]] bool empty() const { return impl_->empty(); }
+  [[nodiscard]] std::size_t size() const { return impl_->size(); }
+  /// High-water mark of the pending event population.
   [[nodiscard]] std::size_t peak_size() const { return peak_count_; }
 
-  /// Time of the earliest live event; SimTime::infinite() when empty.
-  [[nodiscard]] SimTime next_time();
+  /// Time of the earliest pending event; SimTime::infinite() when empty.
+  [[nodiscard]] SimTime next_time() {
+    return impl_->empty() ? SimTime::infinite() : impl_->peek().time;
+  }
 
-  /// Removes and returns the earliest live event. Precondition: !empty().
+  /// Removes and returns the earliest pending event. Precondition: !empty().
   struct Popped {
     SimTime time;
-    EventId id;
     Callback callback;
   };
   Popped pop();
@@ -115,20 +105,6 @@ class EventQueue {
   void force_scheduler(SchedulerKind kind);
 
  private:
-  enum class SlotState : std::uint8_t { kFree, kLive, kCancelled };
-
-  struct Slot {
-    Callback callback;
-    std::uint32_t generation = 1;  // 31 bits, never 0; bumped on release
-    SlotState state = SlotState::kFree;
-  };
-
-  [[nodiscard]] EventId id_of(std::uint32_t slot) const;
-  /// Returns a slot to the free list and invalidates its ids.
-  void release(std::uint32_t slot);
-  /// The earliest live entry, after popping (and freeing the slots of)
-  /// cancelled entries ahead of it. Precondition: live_count_ > 0.
-  SchedEntry live_front();
   /// Moves every pending entry onto a scheduler of `kind`.
   void migrate_to(SchedulerKind kind);
 
@@ -137,10 +113,9 @@ class EventQueue {
   // Callbacks live beside the scheduler so SchedEntry stays trivially
   // movable; an entry's slot stays occupied until the entry leaves the
   // scheduler, so a slot is never referenced by two entries.
-  std::vector<Slot> slots_;
+  std::vector<Callback> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
-  std::size_t live_count_ = 0;
   std::size_t peak_count_ = 0;
   // High-water mark of popped event times; pop() checks monotonicity
   // against it (IOTSIM_CHECK) — the kernel's core ordering invariant.

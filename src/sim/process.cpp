@@ -18,13 +18,6 @@ void Signal::notify_all() {
   }
 }
 
-void Signal::notify_one() {
-  if (waiters_.empty()) return;
-  Waiter w = waiters_.front();
-  waiters_.pop_front();
-  w.sim->at(w.sim->now(), [h = w.h] { h.resume(); });
-}
-
 void SimMutex::release() {
   assert(locked_ && "release() of an unlocked SimMutex");
   if (waiters_.empty()) {

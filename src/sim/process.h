@@ -232,7 +232,6 @@ class Signal {
 
   [[nodiscard]] WaitAwaiter wait() { return WaitAwaiter{this}; }
   void notify_all();
-  void notify_one();
   [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:

@@ -10,7 +10,7 @@
 //     hub fleet produces. EventQueue migrates to it automatically when the
 //     live event count crosses EventQueue::kCalendarSwitchThreshold.
 //
-// Both yield the identical pop sequence for the identical push/pop/cancel
+// Both yield the identical pop sequence for the identical push/pop
 // history (fuzz-checked in tests/sim/test_scheduler.cpp), so which one is
 // active never changes simulation results — only wall-clock speed.
 #pragma once

@@ -12,14 +12,14 @@ Simulator::~Simulator() {
   queue_.clear();
 }
 
-EventId Simulator::at(SimTime t, EventQueue::Callback cb) {
+void Simulator::at(SimTime t, EventQueue::Callback cb) {
   assert(t >= now_ && "cannot schedule into the past");
-  return queue_.schedule(t, std::move(cb));
+  queue_.schedule(t, std::move(cb));
 }
 
-EventId Simulator::after(Duration d, EventQueue::Callback cb) {
+void Simulator::after(Duration d, EventQueue::Callback cb) {
   assert(!d.is_negative());
-  return at(now_ + d, std::move(cb));
+  at(now_ + d, std::move(cb));
 }
 
 void Simulator::spawn(Task<void> task) {

@@ -43,10 +43,9 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules a raw callback at absolute time `t` (must not precede now()).
-  EventId at(SimTime t, EventQueue::Callback cb);
+  void at(SimTime t, EventQueue::Callback cb);
   /// Schedules a raw callback `d` from now.
-  EventId after(Duration d, EventQueue::Callback cb);
-  void cancel(EventId id) { queue_.cancel(id); }
+  void after(Duration d, EventQueue::Callback cb);
 
   /// Takes ownership of a top-level process and schedules its start at now().
   void spawn(Task<void> task);

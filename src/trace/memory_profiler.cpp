@@ -26,17 +26,6 @@ void MemoryProfiler::on_stack_exit(std::size_t bytes) {
   live_stack_ -= bytes;
 }
 
-void MemoryProfiler::reset_peaks() {
-  peak_heap_ = live_heap_;
-  peak_stack_ = live_stack_;
-}
-
-void MemoryProfiler::reset() {
-  live_heap_ = peak_heap_ = 0;
-  live_stack_ = peak_stack_ = 0;
-  alloc_count_ = 0;
-}
-
 void Workspace::clear() {
   for (auto& b : buffers_) prof_.on_free(b.bytes);
   buffers_.clear();

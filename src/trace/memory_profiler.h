@@ -28,9 +28,6 @@ class MemoryProfiler {
   [[nodiscard]] std::size_t peak_stack_bytes() const { return peak_stack_; }
   [[nodiscard]] std::uint64_t allocation_count() const { return alloc_count_; }
 
-  void reset_peaks();
-  void reset();
-
  private:
   std::size_t live_heap_ = 0;
   std::size_t peak_heap_ = 0;

@@ -4,25 +4,11 @@ namespace iotsim::trace {
 
 void MipsCounter::add(const std::string& owner, std::uint64_t instructions) {
   counts_[owner] += instructions;
-  total_ += instructions;
 }
 
 std::uint64_t MipsCounter::instructions(const std::string& owner) const {
   auto it = counts_.find(owner);
   return it == counts_.end() ? 0 : it->second;
-}
-
-std::uint64_t MipsCounter::total_instructions() const { return total_; }
-
-double MipsCounter::mips(const std::string& owner, sim::Duration window) const {
-  const double secs = window.to_seconds();
-  if (secs <= 0.0) return 0.0;
-  return static_cast<double>(instructions(owner)) / 1e6 / secs;
-}
-
-void MipsCounter::reset() {
-  counts_.clear();
-  total_ = 0;
 }
 
 }  // namespace iotsim::trace

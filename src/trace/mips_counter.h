@@ -2,16 +2,14 @@
 // oprofile MIPS characterisation (Fig. 6).
 //
 // Kernels report retired-instruction counts per invocation (calibrated per
-// workload, see apps/workload_spec.h); the counter converts them into the
-// paper's "MIPS executed" metric: instructions retired per second of
-// workload window.
+// workload, see apps/workload_spec.h); the counter sums them per owner, and
+// the run reports the totals the paper's "MIPS executed" metric divides by
+// the workload window.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-
-#include "sim/sim_time.h"
 
 namespace iotsim::trace {
 
@@ -21,16 +19,9 @@ class MipsCounter {
   void add(const std::string& owner, std::uint64_t instructions);
 
   [[nodiscard]] std::uint64_t instructions(const std::string& owner) const;
-  [[nodiscard]] std::uint64_t total_instructions() const;
-
-  /// Million instructions per second over a window (Fig. 6's y-axis).
-  [[nodiscard]] double mips(const std::string& owner, sim::Duration window) const;
-
-  void reset();
 
  private:
   std::unordered_map<std::string, std::uint64_t> counts_;
-  std::uint64_t total_ = 0;  // maintained by add(); avoids iterating counts_
 };
 
 }  // namespace iotsim::trace

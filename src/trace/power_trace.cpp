@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <ostream>
 #include <sstream>
 
 namespace iotsim::trace {
@@ -11,14 +10,6 @@ namespace iotsim::trace {
 void PowerTrace::attach(energy::PowerStateMachine& machine, std::string name) {
   component_names_.emplace_back(machine.component(), std::move(name));
   machine.add_listener([this](const energy::PowerSegment& seg) { segments_.push_back(seg); });
-}
-
-double PowerTrace::watts_at(sim::SimTime t) const {
-  double w = 0.0;
-  for (const auto& s : segments_) {
-    if (s.begin <= t && t < s.end) w += s.watts;
-  }
-  return w;
 }
 
 double PowerTrace::component_watts_at(energy::ComponentId c, sim::SimTime t) const {
@@ -36,16 +27,6 @@ double PowerTrace::joules_between(sim::SimTime begin, sim::SimTime end) const {
     if (hi > lo) j += s.watts * (hi - lo).to_seconds();
   }
   return j;
-}
-
-std::vector<PowerTrace::Sample> PowerTrace::sample(sim::SimTime begin, sim::SimTime end,
-                                                   sim::Duration period) const {
-  assert(period > sim::Duration::zero());
-  std::vector<Sample> out;
-  for (sim::SimTime t = begin; t < end; t += period) {
-    out.push_back(Sample{t, watts_at(t)});
-  }
-  return out;
 }
 
 double PowerTrace::component_joules_between(energy::ComponentId c, sim::SimTime begin,
@@ -104,21 +85,6 @@ std::string PowerTrace::render_timeline(sim::SimTime begin, sim::SimTime end,
   os << "          " << '^' << begin.to_seconds() << "s"
      << std::string(columns > 20 ? columns - 20 : 0, ' ') << '^' << end.to_seconds() << "s\n";
   return os.str();
-}
-
-void PowerTrace::write_csv(std::ostream& os) const {
-  os << "component,routine,begin_s,end_s,watts,busy\n";
-  for (const auto& s : segments_) {
-    std::string name = "component_" + std::to_string(s.component);
-    for (const auto& [comp, n] : component_names_) {
-      if (comp == s.component) {
-        name = n;
-        break;
-      }
-    }
-    os << name << ',' << energy::to_string(s.routine) << ',' << s.begin.to_seconds() << ','
-       << s.end.to_seconds() << ',' << s.watts << ',' << (s.busy ? 1 : 0) << '\n';
-  }
 }
 
 }  // namespace iotsim::trace

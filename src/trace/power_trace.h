@@ -1,12 +1,10 @@
 // Ground-truth power waveform recorder — the simulated stand-in for the
 // Monsoon power monitor used in the paper (§III-B). Because the simulator
 // knows the exact piecewise-constant power of every component, the trace is
-// exact; `sample()` re-quantises it at any period (the Monsoon sampled every
-// 100 ns) for export or plotting.
+// exact: its integral over any span equals the energy ledger's.
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -23,15 +21,13 @@ namespace iotsim::trace {
 class PowerTrace {
  public:
   /// Starts recording segments flushed by `machine`; `name` labels the
-  /// component in rendered timelines and CSV exports.
+  /// component in rendered timelines.
   void attach(energy::PowerStateMachine& machine, std::string name);
 
   [[nodiscard]] const std::vector<energy::PowerSegment>& segments() const { return segments_; }
   [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 
-  /// Total power of all attached components at time `t` (0 outside trace).
-  [[nodiscard]] double watts_at(sim::SimTime t) const;
-  /// Power of one component at time `t`.
+  /// Power of one component at time `t` (0 outside the trace).
   [[nodiscard]] double component_watts_at(energy::ComponentId c, sim::SimTime t) const;
 
   /// Integrated energy over [begin, end) across all components.
@@ -40,19 +36,10 @@ class PowerTrace {
   [[nodiscard]] double component_joules_between(energy::ComponentId c, sim::SimTime begin,
                                                 sim::SimTime end) const;
 
-  struct Sample {
-    sim::SimTime time;
-    double watts;
-  };
-  /// Quantises total power at a fixed sampling period over [begin, end).
-  [[nodiscard]] std::vector<Sample> sample(sim::SimTime begin, sim::SimTime end,
-                                           sim::Duration period) const;
-
   /// Renders a Fig.-5-style per-component power-state timeline as ASCII.
   [[nodiscard]] std::string render_timeline(sim::SimTime begin, sim::SimTime end,
                                             std::size_t columns = 100) const;
 
-  void write_csv(std::ostream& os) const;
   void clear() { segments_.clear(); component_names_.clear(); }
 
  private:

@@ -11,9 +11,7 @@
 
 #include "energy/battery.h"
 #include "energy/energy_accountant.h"
-#include "energy/power_model.h"
 #include "energy/power_state_machine.h"
-#include "hw/mcu.h"
 #include "net/shared_access_point.h"
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
@@ -194,9 +192,8 @@ TEST(Invariants, IllegalPowerTransitionFires) {
   // off -> on without warming up is declared illegal.
   psm.set_state(0);
   EXPECT_THROW(psm.set_state(2), CheckFailure);
-  // Same-state set and routine-only changes are never transitions.
+  // A same-state set is never a transition.
   EXPECT_NO_THROW(psm.set_state(0));
-  EXPECT_NO_THROW(psm.set_routine(energy::Routine::kComputation));
 }
 
 TEST(Invariants, TransitionTableSizeMismatchFires) {
@@ -211,25 +208,14 @@ TEST(Invariants, TransitionTableSizeMismatchFires) {
 TEST(Invariants, BatteryRejectsNegativeDrain) {
   ScopedFailureHandler guard{check::throwing_handler};
   energy::Battery bat{10.0};
-  EXPECT_THROW(bat.drain(-1.0), CheckFailure);
-  EXPECT_NO_THROW(bat.drain(5.0));
+  EXPECT_THROW(bat.drain_clamped(-1.0), CheckFailure);
+  EXPECT_NO_THROW(bat.drain_clamped(5.0));
 }
 
 TEST(Invariants, BatteryRejectsBadUsableFraction) {
   ScopedFailureHandler guard{check::throwing_handler};
   EXPECT_THROW(energy::Battery(10.0, 1.5), CheckFailure);
   EXPECT_THROW(energy::Battery(10.0, 0.0), CheckFailure);
-}
-
-TEST(Invariants, McuRamOverReleaseFires) {
-  ScopedFailureHandler guard{check::throwing_handler};
-  sim::Simulator sim;
-  energy::EnergyAccountant acct;
-  hw::Mcu mcu{sim, acct, energy::McuPowerSpec{}, 100.0, 1024, "mcu"};
-  ASSERT_TRUE(mcu.reserve_ram(512));
-  EXPECT_FALSE(mcu.reserve_ram(4096));  // over budget: refused, not fatal
-  mcu.release_ram(512);
-  EXPECT_THROW(mcu.release_ram(1), CheckFailure);
 }
 
 TEST(Invariants, SimulatorBoundApRejectsAWindowedConfig) {

@@ -13,16 +13,6 @@ TEST(CoapClient, TokensAndMessageIdsAreFresh) {
   EXPECT_NE(a.token, b.token);
 }
 
-TEST(CoapClient, ObserveCarriesRegisterOption) {
-  CoapClient client;
-  const Message req = client.make_observe("temp");
-  bool found = false;
-  for (const auto& opt : req.options) {
-    if (opt.number == static_cast<std::uint16_t>(ExtOption::kObserve)) found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 TEST(CoapClient, FetchSmallResourceInOneRoundTrip) {
   CoapServer server;
   server.add_resource("light", [] { return std::string{"{\"lux\":17}"}; });

@@ -59,11 +59,6 @@ TEST(ScenarioKey, EveryFieldParticipates) {
   EXPECT_NE(scenario_key(world), base_key);
 }
 
-TEST(ScenarioKey, FingerprintIsStableAcrossCalls) {
-  const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
-  EXPECT_EQ(scenario_fingerprint(sc), scenario_fingerprint(sc));
-}
-
 // ---- determinism across thread counts -------------------------------------
 
 TEST(Sweep, SameResultsAtAnyJobCount) {
@@ -73,8 +68,8 @@ TEST(Sweep, SameResultsAtAnyJobCount) {
     sweep.push_back(quick(AppId::kA3ArduinoJson, scheme));
   }
 
-  const auto serial = run_sweep(sweep, SweepOptions{.jobs = 1});
-  const auto parallel = run_sweep(sweep, SweepOptions{.jobs = 8});
+  const auto serial = SweepRunner{SweepOptions{.jobs = 1}}.run(sweep);
+  const auto parallel = SweepRunner{SweepOptions{.jobs = 8}}.run(sweep);
   ASSERT_EQ(serial.size(), sweep.size());
   ASSERT_EQ(parallel.size(), sweep.size());
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -89,7 +84,7 @@ TEST(Sweep, SameResultsAtAnyJobCount) {
 TEST(Sweep, MatchesDirectRunScenario) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBatching);
   const auto direct = run_scenario(sc);
-  const auto swept = run_sweep({sc}, SweepOptions{.jobs = 4});
+  const auto swept = SweepRunner{SweepOptions{.jobs = 4}}.run({sc});
   ASSERT_EQ(swept.size(), 1u);
   EXPECT_EQ(direct.total_joules(), swept[0].total_joules());
 }
@@ -98,7 +93,7 @@ TEST(Sweep, ResultsKeepInputOrder) {
   const std::vector<Scenario> sweep = {quick(AppId::kA2StepCounter, Scheme::kCom),
                                        quick(AppId::kA3ArduinoJson, Scheme::kCom),
                                        quick(AppId::kA2StepCounter, Scheme::kBaseline)};
-  const auto results = run_sweep(sweep, SweepOptions{.jobs = 8});
+  const auto results = SweepRunner{SweepOptions{.jobs = 8}}.run(sweep);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].apps.count(AppId::kA2StepCounter), 1u);
   EXPECT_EQ(results[1].apps.count(AppId::kA3ArduinoJson), 1u);
@@ -147,22 +142,6 @@ TEST(Sweep, MemoizationCanBeDisabled) {
   EXPECT_EQ(runner.stats().executed, 2u);
   EXPECT_EQ(runner.stats().cache_hits, 0u);
   EXPECT_EQ(runner.cache_size(), 0u);
-}
-
-TEST(Sweep, ClearCacheForcesReexecution) {
-  const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
-  SweepRunner runner{SweepOptions{.jobs = 1}};
-  (void)runner.run({sc});
-  runner.clear_cache();
-  // clear_cache() drops the memo AND zeroes the stats: the runner reads as
-  // factory-fresh, not as a cache that mysteriously stopped hitting.
-  EXPECT_EQ(runner.cache_size(), 0u);
-  EXPECT_EQ(runner.stats().scheduled, 0u);
-  EXPECT_EQ(runner.stats().executed, 0u);
-  EXPECT_EQ(runner.stats().cache_hits, 0u);
-  (void)runner.run({sc});
-  EXPECT_EQ(runner.stats().executed, 1u);
-  EXPECT_EQ(runner.stats().cache_hits, 0u);
 }
 
 TEST(Sweep, RunOneMemoizesToo) {

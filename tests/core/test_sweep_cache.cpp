@@ -97,17 +97,18 @@ TEST_F(SweepDiskCacheFixture, MemoryTierStillDedupesWithinARun) {
   EXPECT_EQ(runner.stats().disk_stores, 1u);
 }
 
-TEST_F(SweepDiskCacheFixture, ClearCacheKeepsTheDiskTier) {
+TEST_F(SweepDiskCacheFixture, EmptyMemoStillHitsTheDiskTier) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
   SweepRunner runner{with_disk()};
   (void)runner.run({sc});
-  runner.clear_cache();
-  EXPECT_EQ(runner.cache_size(), 0u);
-  EXPECT_EQ(runner.stats().executed, 0u);  // stats reset too
-  // The memo is gone but the disk tier survives: re-running is a disk hit.
-  (void)runner.run({sc});
-  EXPECT_EQ(runner.stats().executed, 0u);
-  EXPECT_EQ(runner.stats().disk_hits, 1u);
+  // A fresh runner starts with an empty memo, but the disk tier the first
+  // one filled survives it: running the scenario again is a disk hit.
+  SweepRunner fresh{with_disk()};
+  EXPECT_EQ(fresh.cache_size(), 0u);
+  (void)fresh.run({sc});
+  EXPECT_EQ(fresh.stats().executed, 0u);
+  EXPECT_EQ(fresh.stats().disk_hits, 1u);
+  EXPECT_EQ(fresh.cache_size(), 1u);
 }
 
 TEST_F(SweepDiskCacheFixture, DiskTierRequiresMemoization) {

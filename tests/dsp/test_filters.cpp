@@ -56,24 +56,6 @@ TEST(Biquad, BandPassCentersOnFc) {
   EXPECT_LT(at_high, 0.2);
 }
 
-TEST(Biquad, ResetClearsState) {
-  auto f = Biquad::low_pass(1000.0, 50.0);
-  (void)f.process(100.0);
-  (void)f.process(100.0);
-  f.reset();
-  // After reset, a zero input yields exactly zero.
-  EXPECT_DOUBLE_EQ(f.process(0.0), 0.0);
-}
-
-TEST(Biquad, SpanOverloadMatchesScalar) {
-  auto f1 = Biquad::low_pass(100.0, 10.0);
-  auto f2 = Biquad::low_pass(100.0, 10.0);
-  const auto in = tone(100, 5, 64);
-  std::vector<double> out(in.size());
-  f1.process(in, out);
-  for (std::size_t i = 0; i < in.size(); ++i) EXPECT_DOUBLE_EQ(out[i], f2.process(in[i]));
-}
-
 TEST(MovingAverage, ConvergesToConstant) {
   MovingAverage ma{8};
   double y = 0.0;

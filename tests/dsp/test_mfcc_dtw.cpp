@@ -84,25 +84,5 @@ TEST(Dtw, SymmetricDistance) {
   EXPECT_NEAR(dtw_distance(a, b), dtw_distance(b, a), 1e-12);
 }
 
-TEST(Dtw, BestMatchPicksNearestTemplate) {
-  FeatureSeq query;
-  for (int i = 0; i < 10; ++i) query.push_back({static_cast<double>(i), 0.0});
-  std::vector<FeatureSeq> templates(3);
-  for (int i = 0; i < 10; ++i) {
-    templates[0].push_back({static_cast<double>(-i), 0.0});
-    templates[1].push_back({static_cast<double>(i) + 0.1, 0.0});  // near-identical
-    templates[2].push_back({0.0, 5.0});
-  }
-  const DtwMatch m = best_match(query, templates);
-  EXPECT_EQ(m.index, 1u);
-}
-
-TEST(Dtw, BestMatchOnEmptyTemplatesIsInvalid) {
-  const FeatureSeq query{{1.0}};
-  const DtwMatch m = best_match(query, {});
-  EXPECT_EQ(m.index, std::numeric_limits<std::size_t>::max());
-  EXPECT_TRUE(std::isinf(m.distance));
-}
-
 }  // namespace
 }  // namespace iotsim::dsp

@@ -19,26 +19,25 @@ TEST(Battery, UsableFractionLimitsDepth) {
 TEST(Battery, DrainAndStateOfCharge) {
   Battery b{1.0, 1.0};  // 3600 J
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 1.0);
-  EXPECT_TRUE(b.drain(1800.0));
+  EXPECT_DOUBLE_EQ(b.drain_clamped(1800.0), 1800.0);
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.5);
-  EXPECT_FALSE(b.drain(1800.0));
+  EXPECT_FALSE(b.depleted());
+  EXPECT_DOUBLE_EQ(b.drain_clamped(1800.0), 1800.0);
   EXPECT_TRUE(b.depleted());
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.0);
 }
 
 TEST(Battery, ChargeFloorsAtZero) {
   Battery b{1.0, 1.0};
-  (void)b.drain(10000.0);
+  (void)b.drain_clamped(10000.0);
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.0);
-  b.recharge();
+  (void)b.recharge(b.capacity_joules());
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 1.0);
 }
 
 TEST(Battery, LifetimeAtConstantDraw) {
   Battery b{5.0, 0.9};  // 16200 J usable
   EXPECT_NEAR(b.lifetime(2.0).to_seconds(), 8100.0, 1e-9);
-  (void)b.drain(8100.0 * 2.0 / 2.0);  // drain half... 8100 J
-  EXPECT_NEAR(b.remaining_lifetime(2.0).to_seconds(), 4050.0, 1e-9);
 }
 
 // --- online semantics (env::PowerSource drives these during a run) ---
@@ -83,14 +82,8 @@ TEST(Battery, DrainRechargeRoundTripKeepsStateOfCharge) {
 
 TEST(Battery, LifetimeAtNonPositiveDrawNeverDepletes) {
   Battery b{5.0, 0.9};
-  EXPECT_EQ(b.remaining_lifetime(0.0), sim::Duration::max());
-  EXPECT_EQ(b.remaining_lifetime(-1.0), sim::Duration::max());
   EXPECT_EQ(b.lifetime(0.0), sim::Duration::max());
   EXPECT_EQ(b.lifetime(-0.5), sim::Duration::max());
-  // A depleted battery at a positive draw lasts zero seconds, not forever.
-  (void)b.drain_clamped(b.stored_joules());
-  EXPECT_DOUBLE_EQ(b.remaining_lifetime(1.0).to_seconds(), 0.0);
-  EXPECT_EQ(b.remaining_lifetime(0.0), sim::Duration::max());
 }
 
 TEST(Battery, SavingsTranslateToLifetimeMultiplier) {

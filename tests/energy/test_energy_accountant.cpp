@@ -77,15 +77,6 @@ TEST(EnergyAccountant, NonBusySegmentsExcludedFromBusyTime) {
   EXPECT_DOUBLE_EQ(acct.joules(cpu, Routine::kDataTransfer), 0.15);
 }
 
-TEST(EnergyAccountant, ResetClearsLedgerButKeepsComponents) {
-  EnergyAccountant acct;
-  const auto cpu = acct.register_component("cpu");
-  acct.add(seg(cpu, Routine::kComputation, 0, 1000, 1.0));
-  acct.reset();
-  EXPECT_DOUBLE_EQ(acct.total_joules(), 0.0);
-  EXPECT_EQ(acct.component_count(), 1u);
-}
-
 TEST(Routine, NamesAreDistinct) {
   for (Routine a : kAllRoutines) {
     for (Routine b : kAllRoutines) {

@@ -62,7 +62,7 @@ TEST(PowerStateMachine, RoutineChangeSplitsAttribution) {
   auto proc = [&]() -> Task<void> {
     f.psm.set(1, Routine::kInterrupt);
     co_await sim::Delay{Duration::ms(100)};
-    f.psm.set_routine(Routine::kDataTransfer);
+    f.psm.set(1, Routine::kDataTransfer);  // same state, new routine
     co_await sim::Delay{Duration::ms(300)};
     f.psm.flush();
   };

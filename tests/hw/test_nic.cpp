@@ -100,8 +100,8 @@ TEST(Nic, ContentionWaitCoalescesWithAPendingTail) {
   net::SharedAccessPoint ap{sim, cfg};
   Nic b{sim, acct, "nic_b", test_spec()};  // component 0
   Nic a{sim, acct, "nic_a", test_spec()};  // component 1
-  b.attach_medium(ap, sim::Rng{1});
-  a.attach_medium(ap, sim::Rng{2});
+  b.attach_medium(ap, sim::Rng{1}, 0);
+  a.attach_medium(ap, sim::Rng{2}, 1);
 
   auto pb = [&]() -> Task<void> {
     co_await b.transmit(20'000);            // [0, 20 ms)
@@ -140,7 +140,7 @@ TEST(Nic, ReceiveArrivingExactlyAtTailExpiryRestartsTheRadio) {
     cfg.bytes_per_second = 1.0e9;
     net::SharedAccessPoint ap{sim, cfg};
     Nic nic{sim, acct, "wifi", test_spec()};
-    if (with_ap) nic.attach_medium(ap, sim::Rng{7});
+    if (with_ap) nic.attach_medium(ap, sim::Rng{7}, 0);
     auto p = [&]() -> Task<void> {
       co_await nic.transmit(1'000);            // tx [0, 1 ms), tail armed to 101 ms
       co_await sim::Delay{Duration::ms(100)};  // resume exactly as the tail expires

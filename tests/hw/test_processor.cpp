@@ -48,17 +48,6 @@ TEST(Processor, ExecuteChargesActiveBusy) {
   EXPECT_EQ(f.acct.busy_time(f.id(), Routine::kComputation), Duration::ms(100));
 }
 
-TEST(Processor, ExecuteInstructionsUsesNominalMips) {
-  Fixture f;
-  EXPECT_EQ(f.proc.compute_time(500.0), Duration::from_ms(500.0));  // 1000 MIPS
-  auto p = [&]() -> Task<void> {
-    co_await f.proc.execute_instructions(100.0, Routine::kComputation);
-  };
-  f.sim.spawn(p());
-  f.sim.run();
-  EXPECT_EQ(f.acct.busy_time(f.id(), Routine::kComputation), Duration::ms(100));
-}
-
 TEST(Processor, BusyWaitPolicyKeepsActivePower) {
   Fixture f;
   auto p = [&]() -> Task<void> {

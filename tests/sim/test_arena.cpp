@@ -52,22 +52,32 @@ TEST(Arena, ManyBlocksSpanChunks) {
 }
 
 TEST(ArenaScope, InstallsAndRestoresNested) {
-  EXPECT_EQ(current_arena(), nullptr);
+  // Frames come from the innermost scope's arena; leaving a scope restores
+  // the one it shadowed.
   Arena outer, inner;
   {
     ArenaScope s1{outer};
-    EXPECT_EQ(current_arena(), &outer);
+    void* a = frame_allocate(64);
+    EXPECT_EQ(outer.live_blocks(), 1u);
     {
       ArenaScope s2{inner};
-      EXPECT_EQ(current_arena(), &inner);
+      void* b = frame_allocate(64);
+      EXPECT_EQ(inner.live_blocks(), 1u);
+      EXPECT_EQ(outer.live_blocks(), 1u);
+      frame_free(b);
     }
-    EXPECT_EQ(current_arena(), &outer);
+    void* c = frame_allocate(64);
+    EXPECT_EQ(outer.live_blocks(), 2u);
+    EXPECT_EQ(inner.live_blocks(), 0u);
+    frame_free(a);
+    frame_free(c);
   }
-  EXPECT_EQ(current_arena(), nullptr);
+  void* d = frame_allocate(64);  // no scope left: the global heap
+  EXPECT_EQ(outer.live_blocks(), 0u);
+  frame_free(d);
 }
 
 TEST(FrameAlloc, FallsBackToHeapWithoutScope) {
-  ASSERT_EQ(current_arena(), nullptr);
   void* frame = frame_allocate(256);
   ASSERT_NE(frame, nullptr);
   std::memset(frame, 0x5A, 256);

@@ -30,41 +30,6 @@ TEST(EventQueue, FifoTieBreakAtEqualTime) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
 }
 
-TEST(EventQueue, CancelDropsEvent) {
-  EventQueue q;
-  int fired = 0;
-  const EventId id = q.schedule(SimTime::from_ns(1), [&] { ++fired; });
-  q.schedule(SimTime::from_ns(2), [&] { ++fired; });
-  q.cancel(id);
-  q.cancel(id);  // a second cancel of a pending-cancelled id counts once
-  EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(EventQueue, CancelUnknownIdIsNoop) {
-  EventQueue q;
-  q.schedule(SimTime::from_ns(1), [] {});
-  q.cancel(9999);
-  EXPECT_EQ(q.size(), 1u);
-}
-
-TEST(EventQueue, CancelFiredIdIsNoop) {
-  EventQueue q;
-  const EventId id = q.schedule(SimTime::from_ns(1), [] {});
-  q.pop().callback();
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId early = q.schedule(SimTime::from_ns(1), [] {});
-  q.schedule(SimTime::from_ns(7), [] {});
-  q.cancel(early);
-  EXPECT_EQ(q.next_time(), SimTime::from_ns(7));
-}
-
 TEST(EventQueue, NextTimeOnEmptyIsInfinite) {
   EventQueue q;
   EXPECT_EQ(q.next_time(), SimTime::infinite());
@@ -115,60 +80,6 @@ TEST(EventQueue, PinnedSchedulerNeverAutoMigrates) {
     q.schedule(SimTime::from_ns(1), [] {});
   }
   EXPECT_EQ(q.scheduler_kind(), SchedulerKind::kBinaryHeap);
-}
-
-TEST(EventQueue, PoppedIdIsTheScheduledId) {
-  EventQueue q;
-  std::vector<EventId> scheduled;
-  std::vector<EventId> popped;
-  for (int i = 0; i < 8; ++i) {
-    scheduled.push_back(q.schedule(SimTime::from_ns(i), [] {}));
-    // Popping after every other schedule recycles slots, so later ids
-    // reuse them.
-    if (i % 2 == 1) popped.push_back(q.pop().id);
-  }
-  while (!q.empty()) popped.push_back(q.pop().id);
-  // Times ascend with the schedule order, so pops come back in that order.
-  EXPECT_EQ(popped, scheduled);
-}
-
-TEST(EventQueue, CancelOfStaleIdLeavesTheSlotsNextEventAlone) {
-  EventQueue q;
-  int fired = 0;
-  const EventId stale = q.schedule(SimTime::from_ns(1), [] {});
-  q.pop().callback();
-  // The freed slot goes to the next event; the old id must not reach it.
-  const EventId reused = q.schedule(SimTime::from_ns(2), [&] { ++fired; });
-  ASSERT_NE(reused, stale);
-  ASSERT_EQ(static_cast<std::uint32_t>(reused), static_cast<std::uint32_t>(stale));
-  q.cancel(stale);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_EQ(q.next_time(), SimTime::from_ns(2));
-  while (!q.empty()) q.pop().callback();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(EventQueue, CancelledBeforeMigrationFreeTheirSlots) {
-  EventQueue q;
-  std::vector<EventId> ids;
-  for (std::size_t i = 0; i + 1 < EventQueue::kCalendarSwitchThreshold; ++i) {
-    ids.push_back(q.schedule(SimTime::from_ns(static_cast<std::int64_t>(i)), [] {}));
-  }
-  // Cancel the first half: their entries sit in the heap untouched until the
-  // migration drops them, which must hand their slots back.
-  const std::size_t cancelled = ids.size() / 2;
-  for (std::size_t i = 0; i < cancelled; ++i) q.cancel(ids[i]);
-  q.force_scheduler(SchedulerKind::kCalendar);
-  ASSERT_EQ(q.size(), ids.size() - cancelled);
-  // Every new event lands in a freed slot: no index reaches past the slab
-  // the first batch built.
-  const auto slab_end = static_cast<std::uint32_t>(ids.size());
-  for (std::size_t i = 0; i < cancelled; ++i) {
-    const EventId id = q.schedule(SimTime::from_ns(1'000'000), [] {});
-    EXPECT_LT(static_cast<std::uint32_t>(id), slab_end);
-  }
-  EXPECT_EQ(q.size(), ids.size());
 }
 
 TEST(EventQueue, CallbackStoresSixteenByteCapturesInline) {

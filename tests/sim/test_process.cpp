@@ -107,27 +107,6 @@ TEST(Simulator, SignalWakesAllWaiters) {
   EXPECT_EQ(woken, 2);
 }
 
-TEST(Simulator, SignalNotifyOneWakesOne) {
-  Simulator sim;
-  Signal sig;
-  int woken = 0;
-  auto waiter = [&]() -> Task<void> {
-    co_await sig.wait();
-    ++woken;
-  };
-  auto notifier = [&]() -> Task<void> {
-    co_await Delay{Duration::ms(1)};
-    sig.notify_one();
-  };
-  sim.spawn(waiter());
-  sim.spawn(waiter());
-  sim.spawn(notifier());
-  sim.run();
-  EXPECT_EQ(woken, 1);
-  EXPECT_EQ(sig.waiter_count(), 1u);
-  EXPECT_EQ(sim.live_processes(), 1u);
-}
-
 TEST(Simulator, MutexSerializesFifo) {
   Simulator sim;
   SimMutex mutex;

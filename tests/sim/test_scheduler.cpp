@@ -155,30 +155,25 @@ TEST(EventQueueScheduler, StartsOnHeapAndMigratesUnderFleetPressure) {
   EXPECT_EQ(q.peak_size(), EventQueue::kCalendarSwitchThreshold + 1);
 }
 
-TEST(EventQueueScheduler, MigrationPreservesPendingOrderAndCancels) {
+TEST(EventQueueScheduler, MigrationPreservesPendingOrder) {
   // Build identical histories on a forced-heap queue and an auto-migrating
   // one; the dispatch order must be identical through the switch. 512
   // events fire before the rest are scheduled (the peak population still
-  // crosses the calendar threshold), so later events reuse their slots;
-  // cancels of those already-fired ids are part of the history and must
-  // be no-ops.
+  // crosses the calendar threshold), so later events reuse their slots.
   constexpr std::uint64_t kTotal = EventQueue::kCalendarSwitchThreshold + 576;
   auto run_history = [](bool pin_heap) {
     EventQueue q;
     if (pin_heap) q.force_scheduler(SchedulerKind::kBinaryHeap);
     Rng rng{123};
-    std::vector<EventId> ids;
-    std::vector<EventId> fired_ids;
     std::vector<std::uint64_t> fired;
     SimTime now = SimTime::origin();  // never schedule before a popped event
     auto schedule = [&](std::uint64_t i) {
-      ids.push_back(q.schedule(now + Duration::ns(rng.uniform_int(0, 1'000'000)),
-                               [&fired, i] { fired.push_back(i); }));
+      q.schedule(now + Duration::ns(rng.uniform_int(0, 1'000'000)),
+                 [&fired, i] { fired.push_back(i); });
     };
     auto pop = [&] {
       auto ev = q.pop();
       now = ev.time;
-      fired_ids.push_back(ev.id);
       ev.callback();
     };
     std::uint64_t next = 0;
@@ -187,23 +182,15 @@ TEST(EventQueueScheduler, MigrationPreservesPendingOrderAndCancels) {
     for (; next < kTotal; ++next) schedule(next);
     EXPECT_EQ(q.scheduler_kind(),
               pin_heap ? SchedulerKind::kBinaryHeap : SchedulerKind::kCalendar);
-    for (std::size_t i = 0; i < ids.size(); i += 7) q.cancel(ids[i]);
-    for (std::size_t i = 0; i < fired_ids.size(); i += 3) q.cancel(fired_ids[i]);
-    const std::size_t live = q.size();
+    const std::size_t pending = q.size();
     for (int i = 0; i < 256; ++i) pop();
-    for (std::size_t i = 0; i < fired_ids.size(); i += 2) q.cancel(fired_ids[i]);
-    EXPECT_EQ(q.size(), live - 256);
+    EXPECT_EQ(q.size(), pending - 256);
     while (!q.empty()) pop();
     return fired;
   };
   const std::vector<std::uint64_t> heap = run_history(true);
   EXPECT_EQ(heap, run_history(false));
-  // Only the every-7th cancels of pending ids dropped events.
-  std::size_t pending_cancelled = 0;
-  for (std::uint64_t i = 0; i < kTotal; i += 7) {
-    if (std::find(heap.begin(), heap.begin() + 512, i) == heap.begin() + 512) ++pending_cancelled;
-  }
-  EXPECT_EQ(heap.size(), kTotal - pending_cancelled);
+  EXPECT_EQ(heap.size(), kTotal);
 }
 
 TEST(EventQueueScheduler, ForceSchedulerPinsAndMatchesDefault) {

@@ -1,5 +1,5 @@
-// Edge-case coverage for the simulation kernel: cancellation through the
-// Simulator, re-waiting signals, mutex storms, and horizon interactions.
+// Edge-case coverage for the simulation kernel: re-waiting signals, mutex
+// storms, and horizon interactions.
 #include <gtest/gtest.h>
 
 #include "sim/join.h"
@@ -7,17 +7,6 @@
 
 namespace iotsim::sim {
 namespace {
-
-TEST(SimulatorEdge, CancelledCallbackNeverFiresAndClockStopsEarly) {
-  Simulator sim;
-  int fired = 0;
-  const EventId id = sim.after(Duration::ms(5), [&] { ++fired; });
-  sim.after(Duration::ms(1), [&] { sim.cancel(id); });
-  sim.run();
-  EXPECT_EQ(fired, 0);
-  // The cancelled entry is dropped lazily, so the last live event was 1 ms.
-  EXPECT_EQ(sim.now(), SimTime::origin() + Duration::ms(1));
-}
 
 TEST(SimulatorEdge, RunUntilThenContinue) {
   Simulator sim;

@@ -31,14 +31,6 @@ TEST(MemoryProfiler, StackTracking) {
   EXPECT_EQ(p.peak_stack_bytes(), 192u);
 }
 
-TEST(MemoryProfiler, ResetPeaksKeepsLive) {
-  MemoryProfiler p;
-  p.on_alloc(500);
-  p.on_free(400);
-  p.reset_peaks();
-  EXPECT_EQ(p.peak_heap_bytes(), 100u);
-}
-
 TEST(Workspace, AllocationsAreProfiled) {
   MemoryProfiler p;
   {

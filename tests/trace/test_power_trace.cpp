@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/simulator.h"
 
 namespace iotsim::trace {
@@ -45,14 +43,6 @@ TEST(PowerTrace, RecordsSegments) {
   EXPECT_EQ(f.trace.segment_count(), 6u);
 }
 
-TEST(PowerTrace, WattsAtSamplesWaveform) {
-  Fixture f;
-  f.run_square_wave();
-  EXPECT_DOUBLE_EQ(f.trace.watts_at(SimTime::origin() + Duration::ms(5)), 3.0);
-  EXPECT_DOUBLE_EQ(f.trace.watts_at(SimTime::origin() + Duration::ms(15)), 0.0);
-  EXPECT_DOUBLE_EQ(f.trace.watts_at(SimTime::origin() + Duration::ms(25)), 3.0);
-}
-
 TEST(PowerTrace, JoulesBetweenMatchesAccountant) {
   Fixture f;
   f.run_square_wave();
@@ -68,17 +58,6 @@ TEST(PowerTrace, JoulesBetweenClipsToWindow) {
   const double j =
       f.trace.joules_between(SimTime::origin(), SimTime::origin() + Duration::ms(5));
   EXPECT_NEAR(j, 3.0 * 0.005, 1e-12);
-}
-
-TEST(PowerTrace, SampleQuantisesAtPeriod) {
-  Fixture f;
-  f.run_square_wave();
-  const auto samples =
-      f.trace.sample(SimTime::origin(), f.sim.now(), Duration::ms(10));
-  ASSERT_EQ(samples.size(), 6u);
-  EXPECT_DOUBLE_EQ(samples[0].watts, 3.0);
-  EXPECT_DOUBLE_EQ(samples[1].watts, 0.0);
-  EXPECT_DOUBLE_EQ(samples[2].watts, 3.0);
 }
 
 TEST(PowerTrace, TimelineRendersRows) {
@@ -120,16 +99,6 @@ TEST(PowerTrace, TimelineUsesColumnAverages) {
   const auto row_end = art.find('|', row_start + 1);
   const std::string row = art.substr(row_start + 1, row_end - row_start - 1);
   EXPECT_NE(row.find_first_not_of(' '), std::string::npos) << art;
-}
-
-TEST(PowerTrace, CsvContainsHeaderAndRows) {
-  Fixture f;
-  f.run_square_wave();
-  std::ostringstream os;
-  f.trace.write_csv(os);
-  const std::string csv = os.str();
-  EXPECT_NE(csv.find("component,routine,begin_s,end_s,watts,busy"), std::string::npos);
-  EXPECT_NE(csv.find("dev,Computation"), std::string::npos);
 }
 
 }  // namespace

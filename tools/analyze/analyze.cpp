@@ -83,8 +83,7 @@ std::vector<std::unique_ptr<Pass>> make_passes() {
   passes.push_back(make_shared_mutable_static_pass());
   passes.push_back(make_unordered_iteration_pass());
   passes.push_back(make_pointer_order_pass());
-  passes.push_back(make_hash_coverage_pass());
-  passes.push_back(make_codec_coverage_pass());
+  passes.push_back(make_coverage_pass());
   return passes;
 }
 

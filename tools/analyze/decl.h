@@ -1,6 +1,6 @@
 // Statement segmentation and declaration matching over the token/scope
 // layer — the shared grammar fragment behind the shared-mutable-static,
-// hash-coverage and coro-dangling-ref passes.
+// hash- and codec-coverage and coro-dangling-ref passes.
 //
 // A "statement" is the run of tokens that live directly in one scope,
 // split at top-level ';' (paren depth 0, so classic for-headers stay

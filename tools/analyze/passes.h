@@ -12,7 +12,7 @@ std::unique_ptr<Pass> make_coro_dangling_ref_pass();
 std::unique_ptr<Pass> make_shared_mutable_static_pass();
 std::unique_ptr<Pass> make_unordered_iteration_pass();
 std::unique_ptr<Pass> make_pointer_order_pass();
-std::unique_ptr<Pass> make_hash_coverage_pass();
-std::unique_ptr<Pass> make_codec_coverage_pass();
+/// hash-coverage and codec-coverage: one pass over a table of rules.
+std::unique_ptr<Pass> make_coverage_pass();
 
 }  // namespace iotsim::analyze
