@@ -70,12 +70,17 @@ std::vector<energy::PowerState> Processor::build_states() const {
 
 bool Processor::asleep() const { return psm_.state() >= kFirstSleep; }
 
-Processor::WaitHandle Processor::add_waiter(SleepPolicy policy, energy::Routine attr) {
-  waiters_.push_front(WaitReg{policy, attr});
-  return waiters_.begin();
+Processor::WaitReg Processor::add_waiter(SleepPolicy policy, energy::Routine attr) {
+  ++waiters_by_policy_[static_cast<std::size_t>(policy)];
+  ++waiters_by_attr_[static_cast<std::size_t>(attr)];
+  return WaitReg{policy, attr};
 }
 
-void Processor::remove_waiter(WaitHandle h) { waiters_.erase(h); }
+void Processor::remove_waiter(WaitReg reg) {
+  --waiters_by_policy_[static_cast<std::size_t>(reg.policy)];
+  --waiters_by_attr_[static_cast<std::size_t>(reg.attr)];
+  assert(waiters_by_policy_[static_cast<std::size_t>(reg.policy)] >= 0);
+}
 
 void Processor::refresh_idle_state() {
   if (busy_depth_ > 0 || waking_) return;
@@ -87,7 +92,11 @@ void Processor::refresh_idle_state() {
     return;
   }
 
-  if (waiters_.empty()) {
+  // The shallowest policy any waiter holds; none left means no waiters.
+  std::size_t allowed = 0;
+  while (allowed < waiters_by_policy_.size() && waiters_by_policy_[allowed] == 0) ++allowed;
+
+  if (allowed == waiters_by_policy_.size()) {
     // Nothing scheduled at all: the hub idles in the deepest available mode.
     if (spec_.sleep_modes.empty()) {
       psm_.set(kWait, energy::Routine::kIdle);
@@ -97,20 +106,15 @@ void Processor::refresh_idle_state() {
     return;
   }
 
-  auto allowed = SleepPolicy::kDeepSleep;
-  for (const auto& w : waiters_) allowed = std::min(allowed, w.policy);
-
   energy::Routine attr = energy::Routine::kIdle;
   for (energy::Routine candidate : kAttrPrecedence) {
-    if (std::any_of(waiters_.begin(), waiters_.end(),
-                    [candidate](const WaitReg& w) { return w.attr == candidate; })) {
+    if (waiters_by_attr_[static_cast<std::size_t>(candidate)] > 0) {
       attr = candidate;
       break;
     }
   }
 
-  const auto depth = std::min<std::size_t>(static_cast<std::size_t>(allowed),
-                                           spec_.sleep_modes.size());
+  const auto depth = std::min<std::size_t>(allowed, spec_.sleep_modes.size());
   if (depth == 0) {
     psm_.set(kWait, attr);
   } else {
@@ -163,7 +167,7 @@ SleepPolicy Processor::policy_for_gap(sim::Duration gap, SleepPolicy max_policy)
 }
 
 sim::Task<void> Processor::wait(sim::Duration d, SleepPolicy policy, energy::Routine attr) {
-  const WaitHandle reg = add_waiter(policy_for_gap(d, policy), attr);
+  const WaitReg reg = add_waiter(policy_for_gap(d, policy), attr);
   refresh_idle_state();
   co_await sim::Delay{d};
   remove_waiter(reg);
@@ -172,7 +176,7 @@ sim::Task<void> Processor::wait(sim::Duration d, SleepPolicy policy, energy::Rou
 
 sim::Task<void> Processor::wait_signal(sim::Signal& sig, SleepPolicy policy,
                                        energy::Routine attr, sim::Duration expected) {
-  const WaitHandle reg = add_waiter(policy_for_gap(expected, policy), attr);
+  const WaitReg reg = add_waiter(policy_for_gap(expected, policy), attr);
   refresh_idle_state();
   co_await sig.wait();
   remove_waiter(reg);

@@ -9,19 +9,20 @@
 //   Transition — waking up (latency + energy, the §III-A 4 mJ overhead)
 //
 // Sleep is requested by *waiters*: a coroutine that waits registers a
-// (policy, attribution) pair; while nothing executes, the machine drops to
-// the deepest mode allowed by every current waiter (a PM-QoS-style
-// constraint: the baseline runtime registers kBusyWait because it must take
-// an interrupt within ~0.6 ms, under the light-sleep break-even; batching
-// allows light sleep; COM allows deep sleep). Energy while idle is
+// (policy, attribution) pair, counted per policy and per attribution;
+// while nothing executes, the machine drops to the deepest mode allowed by
+// every current waiter (a PM-QoS-style constraint: the baseline runtime
+// registers kBusyWait because it must take an interrupt within ~0.6 ms,
+// under the light-sleep break-even; batching allows light sleep; COM allows
+// deep sleep). Energy while idle is
 // attributed to the highest-precedence waiter attribution, matching how the
 // paper books stall energy under Data Transfer and offloaded-sleep energy
 // under Computation (§III-B4).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <limits>
-#include <list>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,6 +44,8 @@ enum class SleepPolicy : unsigned char {
   kLightSleep = 1,  // fast-wake clock gating
   kDeepSleep = 2,   // suspend; slow wake
 };
+
+inline constexpr std::size_t kSleepPolicyCount = 3;
 
 struct SleepMode {
   double watts;
@@ -101,11 +104,11 @@ class Processor {
                                            SleepPolicy max_policy = SleepPolicy::kDeepSleep) const;
 
  private:
+  /// A registered waiter; removing it decrements the counts it added.
   struct WaitReg {
     SleepPolicy policy;
     energy::Routine attr;
   };
-  using WaitHandle = std::list<WaitReg>::iterator;
 
  public:
   /// RAII standing idle constraint: while alive, the processor never sleeps
@@ -114,18 +117,18 @@ class Processor {
   class IdleConstraint {
    public:
     IdleConstraint(Processor& p, SleepPolicy policy, energy::Routine attr)
-        : p_{&p}, handle_{p.add_waiter(policy, attr)} {
+        : p_{&p}, reg_{p.add_waiter(policy, attr)} {
       p.refresh_idle_state();
     }
     ~IdleConstraint() { release(); }
     IdleConstraint(const IdleConstraint&) = delete;
     IdleConstraint& operator=(const IdleConstraint&) = delete;
     IdleConstraint(IdleConstraint&& o) noexcept
-        : p_{std::exchange(o.p_, nullptr)}, handle_{o.handle_} {}
+        : p_{std::exchange(o.p_, nullptr)}, reg_{o.reg_} {}
 
     void release() {
       if (p_ != nullptr) {
-        p_->remove_waiter(handle_);
+        p_->remove_waiter(reg_);
         p_->refresh_idle_state();
         p_ = nullptr;
       }
@@ -133,7 +136,7 @@ class Processor {
 
    private:
     Processor* p_;
-    std::list<WaitReg>::iterator handle_;
+    WaitReg reg_;
   };
 
   [[nodiscard]] IdleConstraint constrain_idle(SleepPolicy policy, energy::Routine attr) {
@@ -147,8 +150,8 @@ class Processor {
   static constexpr energy::PowerStateMachine::StateId kTransition = 2;
   static constexpr energy::PowerStateMachine::StateId kFirstSleep = 3;
 
-  WaitHandle add_waiter(SleepPolicy policy, energy::Routine attr);
-  void remove_waiter(WaitHandle h);
+  WaitReg add_waiter(SleepPolicy policy, energy::Routine attr);
+  void remove_waiter(WaitReg reg);
 
   /// Recomputes the idle power state from current waiters (no-op while
   /// executing).
@@ -174,7 +177,11 @@ class Processor {
   // timestamp (a bookkeeping transient between two operations) is free: no
   // wake latency/energy.
   sim::SimTime sleep_entered_at_ = sim::SimTime::from_ns(std::numeric_limits<std::int64_t>::min() / 4);
-  std::list<WaitReg> waiters_;
+  // Current waiters, counted by policy and by attribution: the idle state
+  // depends only on the shallowest policy present and on which
+  // attributions are present.
+  std::array<int, kSleepPolicyCount> waiters_by_policy_{};
+  std::array<int, energy::kRoutineCount> waiters_by_attr_{};
   std::uint64_t wakeups_ = 0;
 };
 

@@ -1,32 +1,34 @@
 #include "sim/join.h"
 
-#include <memory>
+#include <exception>
+#include <utility>
 
 namespace iotsim::sim {
 
 namespace {
 
-Task<void> run_and_arrive(Task<void> t, std::shared_ptr<JoinCounter> counter) {
-  co_await t;
+Task<void> run_and_arrive(Task<void> t, JoinCounter* counter) {
+  std::exception_ptr error;
+  try {
+    co_await t;
+  } catch (...) {
+    error = std::current_exception();
+  }
   counter->arrive();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
 
-Task<void> when_all(Simulator& sim, std::vector<Task<void>> tasks) {
-  auto counter = std::make_shared<JoinCounter>(static_cast<int>(tasks.size()));
-  for (auto& t : tasks) {
-    sim.spawn(run_and_arrive(std::move(t), counter));
-  }
-  tasks.clear();
-  co_await counter->wait();
-}
-
 Task<void> when_all(Simulator& sim, Task<void> a, Task<void> b) {
-  std::vector<Task<void>> tasks;
-  tasks.push_back(std::move(a));
-  tasks.push_back(std::move(b));
-  co_await when_all(sim, std::move(tasks));
+  JoinCounter counter{2};
+  const Task<void> first = run_and_arrive(std::move(a), &counter);
+  const Task<void> second = run_and_arrive(std::move(b), &counter);
+  sim.launch(first);
+  sim.launch(second);
+  co_await counter.wait();
+  first.check();
+  second.check();
 }
 
 }  // namespace iotsim::sim

@@ -1,9 +1,8 @@
-// Structured concurrency helpers: run several tasks concurrently and wait
-// for all of them (e.g. the CPU driving its NIC while the wire clocks bits).
+// Structured concurrency helper: run two tasks concurrently and wait for
+// both (e.g. the CPU driving its NIC while the wire clocks bits). The join
+// owns its children: their frames, and the latch they arrive at, live in
+// the when_all frame and are freed when the join completes.
 #pragma once
-
-#include <utility>
-#include <vector>
 
 #include "sim/process.h"
 #include "sim/simulator.h"
@@ -30,13 +29,11 @@ class JoinCounter {
   Signal done_;
 };
 
-/// Runs all tasks concurrently; completes when every one has finished.
-/// The child tasks are detached onto the simulator (which owns their
-/// frames), so `when_all` is safe even if the awaiting coroutine is
-/// destroyed afterwards.
-[[nodiscard]] Task<void> when_all(Simulator& sim, std::vector<Task<void>> tasks);
-
-/// Two-task convenience overload.
+/// Runs `a` and `b` concurrently; completes when both have finished. Each
+/// child starts from its own event at now(), `a` first. A child that throws
+/// still counts as finished; once both are done, the first child's
+/// exception (in argument order) is rethrown to the awaiting coroutine.
+/// Nest calls to join more than two tasks.
 [[nodiscard]] Task<void> when_all(Simulator& sim, Task<void> a, Task<void> b);
 
 }  // namespace iotsim::sim

@@ -9,12 +9,12 @@ void Delay::arm(std::coroutine_handle<> h) {
 }
 
 void Signal::notify_all() {
-  // Swap out the waiter list first: a resumed waiter may immediately wait()
+  // Detach the waiter list first: a resumed waiter may immediately wait()
   // again, and that registration belongs to the *next* notification.
-  std::deque<Waiter> woken;
-  woken.swap(waiters_);
-  for (auto& w : woken) {
-    w.sim->at(w.sim->now(), [h = w.h] { h.resume(); });
+  for (detail::WaitNode* w = waiters_.take_all(); w != nullptr;) {
+    detail::WaitNode* next = w->next;
+    w->sim->at(w->sim->now(), [h = w->h] { h.resume(); });
+    w = next;
   }
 }
 
@@ -26,9 +26,8 @@ void SimMutex::release() {
   }
   // Hand the lock to the first waiter; locked_ stays true across the
   // scheduled wakeup so no third party can sneak in between.
-  Waiter w = waiters_.front();
-  waiters_.pop_front();
-  w.sim->at(w.sim->now(), [h = w.h] { h.resume(); });
+  const detail::WaitNode* w = waiters_.pop_front();
+  w->sim->at(w->sim->now(), [h = w->h] { h.resume(); });
 }
 
 }  // namespace iotsim::sim

@@ -5,6 +5,8 @@
 // is resumed by the Simulator's event loop, so simulated time only advances
 // between suspension points. Tasks are lazy: a child task starts when
 // awaited; a top-level task starts when passed to Simulator::spawn.
+// Suspending allocates nothing beyond the frame itself: Signal and SimMutex
+// queue each waiter through a node inside its awaiter.
 //
 // Determinism: all resumptions go through the event queue (never inline), so
 // wake order at equal timestamps is the schedule order.
@@ -12,11 +14,9 @@
 
 #include <cassert>
 #include <coroutine>
-#include <deque>
 #include <exception>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/arena.h"
 #include "sim/sim_time.h"
@@ -215,17 +215,84 @@ struct Delay {
   void arm(std::coroutine_handle<> h);  // defined in process.cpp
 };
 
-/// A broadcast condition: waiters suspend until notify; wakeups are scheduled
-/// (never inline) to preserve determinism.
+namespace detail {
+
+/// A coroutine suspended on a Signal or SimMutex. The node is a member of
+/// the awaiter, which lives in the suspended coroutine's frame, so queuing a
+/// waiter allocates nothing; the node is unlinked before the wakeup is
+/// scheduled, so it never outlives its frame in a list.
+struct WaitNode {
+  std::coroutine_handle<> h{};
+  Simulator* sim = nullptr;
+  WaitNode* next = nullptr;
+};
+
+/// Intrusive FIFO of WaitNodes (a singly linked list with a tail pointer).
+/// Move-only: moving it leaves the source empty, so a moved Signal or
+/// SimMutex never shares waiters with its old storage.
+class WaitList {
+ public:
+  WaitList() = default;
+  WaitList(WaitList&& o) noexcept
+      : head_{std::exchange(o.head_, nullptr)},
+        tail_{std::exchange(o.tail_, nullptr)},
+        size_{std::exchange(o.size_, 0)} {}
+  WaitList& operator=(WaitList&&) = delete;
+
+  void push_back(WaitNode* n) {
+    n->next = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next = n;
+    } else {
+      head_ = n;
+    }
+    tail_ = n;
+    ++size_;
+  }
+  /// Unlinks and returns the oldest node; the list must not be empty.
+  WaitNode* pop_front() {
+    WaitNode* n = head_;
+    head_ = n->next;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    return n;
+  }
+  /// Detaches the whole chain, oldest first, leaving the list empty.
+  WaitNode* take_all() {
+    tail_ = nullptr;
+    size_ = 0;
+    return std::exchange(head_, nullptr);
+  }
+
+  [[nodiscard]] bool empty() const { return head_ == nullptr; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  WaitNode* head_ = nullptr;
+  WaitNode* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+}  // namespace detail
+
+/// A broadcast condition: waiters suspend until notify_all, which wakes
+/// every current waiter in the order they began waiting. Wakeups are
+/// scheduled at now() (never resumed inline) to preserve determinism. Each
+/// waiter is queued through a node in its own awaiter, so waiting and
+/// notifying allocate nothing. Movable while waiters are queued; the
+/// moved-from Signal is left with none.
 class Signal {
  public:
   struct WaitAwaiter {
     Signal* s;
+    detail::WaitNode node{};
     bool await_ready() const noexcept { return false; }
     template <typename P>
     void await_suspend(std::coroutine_handle<P> h) {
       assert(h.promise().sim != nullptr);
-      s->enqueue(h, h.promise().sim);
+      node.h = h;
+      node.sim = h.promise().sim;
+      s->waiters_.push_back(&node);
     }
     void await_resume() const noexcept {}
   };
@@ -235,20 +302,16 @@ class Signal {
   [[nodiscard]] std::size_t waiter_count() const { return waiters_.size(); }
 
  private:
-  friend struct WaitAwaiter;
-  struct Waiter {
-    std::coroutine_handle<> h;
-    Simulator* sim;
-  };
-  void enqueue(std::coroutine_handle<> h, Simulator* sim) { waiters_.push_back({h, sim}); }
-  std::deque<Waiter> waiters_;
+  detail::WaitList waiters_;
 };
 
-/// FIFO mutex for exclusive simulated resources (a CPU, a bus).
+/// FIFO mutex for exclusive simulated resources (a CPU, a bus). Like
+/// Signal, each blocked acquirer is queued through a node in its awaiter.
 class SimMutex {
  public:
   struct AcquireAwaiter {
     SimMutex* m;
+    detail::WaitNode node{};
     bool await_ready() const noexcept {
       if (!m->locked_) {
         m->locked_ = true;
@@ -259,7 +322,9 @@ class SimMutex {
     template <typename P>
     void await_suspend(std::coroutine_handle<P> h) {
       assert(h.promise().sim != nullptr);
-      m->waiters_.push_back({h, h.promise().sim});
+      node.h = h;
+      node.sim = h.promise().sim;
+      m->waiters_.push_back(&node);
     }
     void await_resume() const noexcept {}
   };
@@ -272,13 +337,8 @@ class SimMutex {
   [[nodiscard]] std::size_t queue_length() const { return waiters_.size(); }
 
  private:
-  friend struct AcquireAwaiter;
-  struct Waiter {
-    std::coroutine_handle<> h;
-    Simulator* sim;
-  };
   bool locked_ = false;
-  std::deque<Waiter> waiters_;
+  detail::WaitList waiters_;
 };
 
 }  // namespace iotsim::sim

@@ -22,12 +22,16 @@ void Simulator::after(Duration d, EventQueue::Callback cb) {
   at(now_ + d, std::move(cb));
 }
 
-void Simulator::spawn(Task<void> task) {
+void Simulator::launch(const Task<void>& task) {
   assert(task.valid());
   auto handle = task.handle();
   handle.promise().sim = this;
-  processes_.push_back(std::move(task));
   at(now_, [handle] { handle.resume(); });
+}
+
+void Simulator::spawn(Task<void> task) {
+  launch(task);
+  processes_.push_back(std::move(task));
 }
 
 void Simulator::advance_to(SimTime t) {

@@ -47,7 +47,11 @@ class Simulator {
   /// Schedules a raw callback `d` from now.
   void after(Duration d, EventQueue::Callback cb);
 
-  /// Takes ownership of a top-level process and schedules its start at now().
+  /// Schedules the start of `task` at now() without taking ownership: the
+  /// caller keeps the frame alive until the task is done (when_all holds
+  /// its children this way).
+  void launch(const Task<void>& task);
+  /// Takes ownership of a top-level process and launches it.
   void spawn(Task<void> task);
 
   /// Runs until the event queue drains or stop() is called.

@@ -2,6 +2,9 @@
 // the busy/wait power split, and the hub's DMA transfer path.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "energy/energy_accountant.h"
 #include "hw/iot_hub.h"
 #include "hw/processor.h"
@@ -76,6 +79,53 @@ TEST(IdleConstraint, ReleaseIsIdempotentAndMoveSafe) {
   sim.spawn(proc());
   sim.run();
   SUCCEED();
+}
+
+TEST(IdleConstraint, OverlappingWaitPicksTheSameStatesInEitherReleaseOrder) {
+  // Power-state ids: 1 is active wait, 4 the deeper of split_spec's two
+  // sleep modes. A standing kBusyWait/kDataTransfer constraint overlaps a
+  // 20 ms kDeepSleep/kComputation wait (t = 0.5..20.5 ms); the constraint
+  // is released at 5 ms (inside the wait) or at 30 ms (after it).
+  using Step = std::pair<energy::PowerStateMachine::StateId, Routine>;
+  constexpr energy::PowerStateMachine::StateId kWaitState = 1;
+  constexpr energy::PowerStateMachine::StateId kDeepState = 4;
+  for (const bool release_inside_wait : {true, false}) {
+    sim::Simulator sim;
+    EnergyAccountant acct;
+    Processor p{sim, acct, "cpu", split_spec()};
+    std::vector<Step> steps;
+    auto pinner = [&]() -> Task<void> {
+      auto pin = p.constrain_idle(SleepPolicy::kBusyWait, Routine::kDataTransfer);
+      co_await sim::Delay{Duration::ms(release_inside_wait ? 5 : 30)};
+      pin.release();
+    };
+    auto waiter = [&]() -> Task<void> {
+      co_await sim::Delay{Duration::us(500)};
+      co_await p.wait(Duration::ms(20), SleepPolicy::kDeepSleep, Routine::kComputation);
+    };
+    auto observer = [&]() -> Task<void> {
+      for (const auto at_us : {250, 1000, 10000, 25000, 40000}) {
+        co_await sim::Delay{Duration::us(at_us) - (sim.now() - sim::SimTime::origin())};
+        steps.emplace_back(p.power().state(), p.power().routine());
+      }
+    };
+    sim.spawn(pinner());
+    sim.spawn(waiter());
+    sim.spawn(observer());
+    sim.run();
+    const std::vector<Step> expected =
+        release_inside_wait ? std::vector<Step>{{kWaitState, Routine::kDataTransfer},
+                                                {kWaitState, Routine::kComputation},
+                                                {kDeepState, Routine::kComputation},
+                                                {kDeepState, Routine::kIdle},
+                                                {kDeepState, Routine::kIdle}}
+                            : std::vector<Step>{{kWaitState, Routine::kDataTransfer},
+                                                {kWaitState, Routine::kComputation},
+                                                {kWaitState, Routine::kComputation},
+                                                {kWaitState, Routine::kDataTransfer},
+                                                {kDeepState, Routine::kIdle}};
+    EXPECT_EQ(steps, expected) << "release_inside_wait=" << release_inside_wait;
+  }
 }
 
 TEST(BusyWaitSplit, ExecutionDrawsMoreThanStall) {
