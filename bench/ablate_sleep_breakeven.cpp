@@ -34,9 +34,8 @@ double idle_gap_energy(double gap_ms, bool allow_sleep) {
 
 int main(int argc, char** argv) {
   // Accepts the shared flags for a uniform CLI; this bench drives a raw
-  // Processor (no scenarios), so the Session exists only to serve --help
-  // and the standard --json record (wall time, peak RSS).
-  bench::Session session{bench::parse_options(argc, argv)};
+  // Processor (no scenarios), so it needs no sweep session.
+  (void)bench::parse_options(argc, argv);
   std::cout << "=== Ablation: sleep break-even (SIII-A) ===\n\n";
   const auto paper = energy::paper_reference_cpu();
   std::cout << "paper constants: active " << paper.active_w << " W, sleep "

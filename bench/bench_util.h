@@ -6,42 +6,23 @@
 //   --jobs=N       worker threads for the scenario sweep (default: all cores)
 //   --windows=K    QoS windows per scenario (default: bench-specific)
 //   --hubs=N       fleet size for fleet benches (others ignore it)
-//   --json=PATH    write the standard bench JSON record to PATH
 //   --cache-dir=P  persistent result cache directory (cache::ResultCache);
 //                  a warm re-run serves every scenario from disk and
 //                  executes nothing
 // Numbers are bit-identical at any --jobs value: scenarios are seeded by
-// content and collected in order (see core/sweep.h).
-//
-// The standard bench JSON (written by Session when --json is given) has the
-// same shape for every fig*/ablate*/fleet* target:
-//   {"bench": ..., "jobs": N, "windows": K, "hubs": N,
-//    "wall_ms": ..., "setup_ms": ..., "sim_ms": ..., "peak_rss_bytes": ...,
-//    "scenarios_executed": N, "cache_hits": N, "cache_dir": "...",
-//    "events_dispatched": N, "events_per_sec": ...,
-//    "extra": {"disk_hits": N, "disk_stores": N, "cache_hit_rate": ...,
-//              plus bench-specific numbers recorded via Session::record}}
-// disk_hits/disk_stores count persistent-cache traffic (0 without
-// --cache-dir); cache_hit_rate = (cache_hits + disk_hits) / scheduled.
-// sim_ms is the time spent inside scenario execution (Session::run*/
-// prefetch, plus anything a bench times itself and reports via add_sim_ms);
-// setup_ms = wall_ms − sim_ms is everything else: scenario construction,
-// table/JSON assembly, process start-up. Fleet benches use the split to
-// show that lazy hub materialization keeps setup sublinear in fleet size.
+// content and collected in order (see core/sweep.h). Benches print no wall
+// time; perfbench (perfbench/README.md) is the repo's one perf recorder.
 #pragma once
 
-#include <chrono>
+#include <charconv>
 #include <cstddef>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "codecs/json/json_writer.h"
 #include "core/scenario_runner.h"
 #include "core/sweep.h"
 #include "trace/ascii_chart.h"
@@ -51,21 +32,6 @@
 namespace iotsim::bench {
 
 inline constexpr int kDefaultWindows = 5;
-
-/// Peak resident set size of this process in bytes (Linux VmHWM); 0 where
-/// unavailable. Benches report it in the standard JSON record.
-inline std::size_t peak_rss_bytes() {
-#if defined(__linux__)
-  std::ifstream status{"/proc/self/status"};
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return static_cast<std::size_t>(std::atoll(line.c_str() + 6)) * 1024;
-    }
-  }
-#endif
-  return 0;
-}
 
 /// A world with activity on every channel, so kernels have real work: two
 /// seismic bursts, scheduled voice commands, a slightly irregular heart.
@@ -83,9 +49,7 @@ struct Options {
   int jobs = 0;  // <= 0 ⇒ all hardware threads
   int windows = kDefaultWindows;
   int hubs = 0;  // <= 0 ⇒ bench default; only fleet benches consume it
-  std::string json_path;   // non-empty ⇒ write the standard bench JSON there
-  std::string cache_dir;   // non-empty ⇒ persistent result cache directory
-  std::string bench_name;  // basename(argv[0]), set by parse_options
+  std::string cache_dir;  // non-empty ⇒ persistent result cache directory
 
   /// Bench-default helper: everything default except the window count.
   [[nodiscard]] static Options with_windows(int k) {
@@ -95,31 +59,33 @@ struct Options {
   }
 };
 
-/// Parses --jobs=N / --windows=K / --hubs=N / --json[=| ]PATH (exits with
-/// usage on anything else). `defaults` carries the bench's own window count
-/// where it differs.
+/// Parses --jobs=N / --windows=K / --hubs=N / --cache-dir[=| ]PATH (exits 2
+/// with usage on anything else, including a flag value that is not a whole
+/// integer). `defaults` carries the bench's own window count where it
+/// differs.
 inline Options parse_options(int argc, char** argv, Options defaults = {}) {
   Options o = defaults;
-  {
-    const std::string prog = argc > 0 ? argv[0] : "bench";
-    const std::size_t slash = prog.find_last_of('/');
-    o.bench_name = slash == std::string::npos ? prog : prog.substr(slash + 1);
-  }
-  auto int_flag = [](const std::string& arg,
-                     const std::string& prefix) -> std::optional<int> {
-    if (arg.rfind(prefix, 0) != 0) return std::nullopt;
-    return std::atoi(arg.c_str() + prefix.size());
-  };
   auto usage = [&](int code) {
     std::cerr << "usage: " << (argc > 0 ? argv[0] : "bench")
-              << " [--jobs=N] [--windows=K] [--hubs=N] [--json=PATH]"
-                 " [--cache-dir=PATH]\n"
+              << " [--jobs=N] [--windows=K] [--hubs=N] [--cache-dir=PATH]\n"
               << "  --jobs=N        sweep worker threads (default: all cores)\n"
               << "  --windows=K     QoS windows per scenario\n"
               << "  --hubs=N        fleet size (fleet benches only)\n"
-              << "  --json=PATH     write the standard bench JSON record\n"
               << "  --cache-dir=P   persistent result cache directory\n";
     std::exit(code);
+  };
+  auto int_flag = [&](const std::string& arg,
+                      const std::string& prefix) -> std::optional<int> {
+    if (arg.rfind(prefix, 0) != 0) return std::nullopt;
+    const char* first = arg.data() + prefix.size();
+    const char* last = arg.data() + arg.size();
+    int value = 0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc{} || end != last) {
+      std::cerr << "not an integer: " << arg << '\n';
+      usage(2);
+    }
+    return value;
   };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -129,10 +95,6 @@ inline Options parse_options(int argc, char** argv, Options defaults = {}) {
       o.windows = *w;
     } else if (auto h = int_flag(arg, "--hubs=")) {
       o.hubs = *h;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      o.json_path = arg.substr(7);
-    } else if (arg == "--json" && i + 1 < argc) {
-      o.json_path = argv[++i];
     } else if (arg.rfind("--cache-dir=", 0) == 0) {
       o.cache_dir = arg.substr(12);
     } else if (arg == "--cache-dir" && i + 1 < argc) {
@@ -157,8 +119,7 @@ class Session {
   explicit Session(Options opts)
       : opts_{std::move(opts)},
         sweep_{core::SweepOptions{
-            .jobs = opts_.jobs, .memoize = true, .cache_dir = opts_.cache_dir}},
-        started_{std::chrono::steady_clock::now()} {}
+            .jobs = opts_.jobs, .memoize = true, .cache_dir = opts_.cache_dir}} {}
 
   ~Session() {
     // Diagnostics go to stderr so table/CSV output on stdout stays
@@ -167,7 +128,6 @@ class Session {
     std::cerr << "[sweep] jobs=" << sweep_.jobs() << " scenarios=" << s.scheduled
               << " executed=" << s.executed << " cache-hits=" << s.cache_hits
               << " disk-hits=" << s.disk_hits << " disk-stores=" << s.disk_stores << '\n';
-    if (!opts_.json_path.empty()) write_json();
   }
 
   Session(const Session&) = delete;
@@ -179,62 +139,6 @@ class Session {
   /// Fleet size after the --hubs override (`fallback` = the bench default).
   [[nodiscard]] int hubs_or(int fallback) const {
     return opts_.hubs > 0 ? opts_.hubs : fallback;
-  }
-
-  /// Attaches a bench-specific number to the standard JSON record's "extra"
-  /// object (e.g. speedups, shard efficiency). Last write per key wins.
-  void record(const std::string& key, double value) { extra_[key] = value; }
-
-  /// Adds externally timed scenario-execution milliseconds to the sim_ms
-  /// bucket — for benches that drive core::run_scenario directly instead of
-  /// going through this session's sweep.
-  void add_sim_ms(double ms) { sim_ms_ += ms; }
-
-  /// Writes the standard bench JSON record now (also runs at destruction
-  /// when --json was given). Safe to call repeatedly; later calls overwrite.
-  void write_json() const {
-    using codecs::json::Value;
-    const auto& s = sweep_.stats();
-    const double wall_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
-                                                  started_)
-            .count();
-    Value v;
-    v["bench"] = Value{opts_.bench_name};
-    v["jobs"] = Value{sweep_.jobs()};
-    v["windows"] = Value{opts_.windows};
-    v["hubs"] = Value{opts_.hubs};
-    v["wall_ms"] = Value{wall_ms};
-    v["sim_ms"] = Value{sim_ms_};
-    v["setup_ms"] = Value{wall_ms > sim_ms_ ? wall_ms - sim_ms_ : 0.0};
-    v["peak_rss_bytes"] = Value{static_cast<double>(peak_rss_bytes())};
-    v["scenarios_executed"] = Value{static_cast<double>(s.executed)};
-    v["cache_hits"] = Value{static_cast<double>(s.cache_hits)};
-    v["cache_dir"] = Value{opts_.cache_dir};
-    v["events_dispatched"] = Value{static_cast<double>(s.events_dispatched)};
-    v["events_per_sec"] =
-        Value{wall_ms > 0.0 ? static_cast<double>(s.events_dispatched) / (wall_ms / 1e3)
-                            : 0.0};
-    Value extra;
-    // The persistent tier's traffic is part of every bench's record, so the
-    // cache's effect shows up in the recorded perf trajectory.
-    extra["disk_hits"] = Value{static_cast<double>(s.disk_hits)};
-    extra["disk_stores"] = Value{static_cast<double>(s.disk_stores)};
-    extra["cache_hit_rate"] =
-        Value{s.scheduled > 0
-                  ? static_cast<double>(s.cache_hits + s.disk_hits) /
-                        static_cast<double>(s.scheduled)
-                  : 0.0};
-    for (const auto& [key, value] : extra_) extra[key] = Value{value};
-    v["extra"] = std::move(extra);
-
-    std::ofstream out{opts_.json_path};
-    if (!out) {
-      std::cerr << "[bench] cannot open --json path: " << opts_.json_path << '\n';
-      return;
-    }
-    out << codecs::json::dump_pretty(v) << '\n';
-    std::cerr << "[bench] wrote " << opts_.json_path << '\n';
   }
 
   /// The bench-standard scenario: given apps/scheme against active_world().
@@ -250,52 +154,24 @@ class Session {
   }
 
   /// Warms the memo with a batch of scenarios, in parallel.
-  void prefetch(const std::vector<core::Scenario>& scenarios) {
-    const SimTimer timer{this};
-    (void)sweep_.run(scenarios);
-  }
+  void prefetch(const std::vector<core::Scenario>& scenarios) { (void)sweep_.run(scenarios); }
 
-  [[nodiscard]] core::ScenarioResult run(const core::Scenario& sc) {
-    const SimTimer timer{this};
-    return sweep_.run_one(sc);
-  }
+  [[nodiscard]] core::ScenarioResult run(const core::Scenario& sc) { return sweep_.run_one(sc); }
   [[nodiscard]] core::ScenarioResult run(std::vector<apps::AppId> ids, core::Scheme scheme,
                                          bool trace = false) {
-    auto sc = scenario(std::move(ids), scheme, trace);
-    const SimTimer timer{this};
-    return sweep_.run_one(sc);
+    return sweep_.run_one(scenario(std::move(ids), scheme, trace));
   }
 
   [[nodiscard]] std::vector<core::ScenarioResult> run_all(
       const std::vector<core::Scenario>& scenarios) {
-    const SimTimer timer{this};
     return sweep_.run(scenarios);
   }
 
   [[nodiscard]] core::SweepRunner& sweep() { return sweep_; }
 
  private:
-  /// Scoped accumulator: every run*/prefetch adds its elapsed time to the
-  /// session's sim_ms bucket.
-  struct SimTimer {
-    explicit SimTimer(Session* s)
-        : session{s}, begin{std::chrono::steady_clock::now()} {}
-    ~SimTimer() {
-      session->sim_ms_ +=
-          std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - begin)
-              .count();
-    }
-    SimTimer(const SimTimer&) = delete;
-    SimTimer& operator=(const SimTimer&) = delete;
-    Session* session;
-    std::chrono::steady_clock::time_point begin;
-  };
-
   Options opts_;
   core::SweepRunner sweep_;
-  std::chrono::steady_clock::time_point started_;
-  double sim_ms_ = 0.0;  // time inside scenario execution (see header note)
-  std::map<std::string, double> extra_;  // ordered ⇒ stable JSON key order
 };
 
 /// Paper-style four-routine percentages of a scheme run, normalised to a

@@ -22,7 +22,6 @@
 // byte-identical to the single-shard run. The event-driven (non-windowed)
 // AP still collapses to one shard; that is asserted via effective_shards.
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 
@@ -226,43 +225,26 @@ int main(int argc, char** argv) {
   // executed, so they ride the cold branch — a warm run already proved
   // identity when the entry was written.
   const std::uint64_t executed_before = session.sweep().stats().executed;
-  const auto t0 = std::chrono::steady_clock::now();
   const core::ScenarioResult big = session.run(big_sc);
-  const double big_ms =
-      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-          .count();
   const bool big_cold = session.sweep().stats().executed > executed_before;
 
-  const auto big_events = static_cast<double>(big.energy.kernel().events_dispatched);
-  const double big_eps = big_ms > 0.0 ? big_events / (big_ms / 1e3) : 0.0;
   const auto big_spread = wait_spread(big);
   using TP = trace::TablePrinter;
 
   bool identical = true;
   int shards_used = big_shards;
-  double big_sharded_ms = 0.0;
-  double sharded_eps = 0.0;
   if (big_cold) {
     // Sharded re-run driven directly (the sweep would serve it from the
     // memo the single-shard run just filled).
-    const auto t1 = std::chrono::steady_clock::now();
     const core::ScenarioResult big_sharded =
         core::run_scenario(big_sc, core::ExecPolicy{.shards = big_shards});
-    big_sharded_ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t1)
-            .count();
-    session.add_sim_ms(big_sharded_ms);
     identical = core::to_json_text(big) == core::to_json_text(big_sharded);
     shards_used = big_sharded.energy.kernel().shards;
-    sharded_eps = big_sharded_ms > 0.0 ? big_events / (big_sharded_ms / 1e3) : 0.0;
 
-    trace::TablePrinter gt{{"Shards", "Wall (ms)", "Events/sec", "Wait mean (ms)",
-                            "Wait p99 (ms)", "Util"}};
-    gt.add_row({"1", TP::num(big_ms, 5), TP::num(big_eps, 6),
-                TP::num(big_spread.mean_ms, 4), TP::num(big_spread.p99_ms, 4),
+    trace::TablePrinter gt{{"Shards", "Wait mean (ms)", "Wait p99 (ms)", "Util"}};
+    gt.add_row({"1", TP::num(big_spread.mean_ms, 4), TP::num(big_spread.p99_ms, 4),
                 TP::num(big.energy.congestion().utilization, 3)});
-    gt.add_row({std::to_string(shards_used), TP::num(big_sharded_ms, 5),
-                TP::num(sharded_eps, 6), TP::num(big_spread.mean_ms, 4),
+    gt.add_row({std::to_string(shards_used), TP::num(big_spread.mean_ms, 4),
                 TP::num(big_spread.p99_ms, 4),
                 TP::num(big_sharded.energy.congestion().utilization, 3)});
     std::cout << gt.render() << '\n';
@@ -278,17 +260,6 @@ int main(int argc, char** argv) {
               << " recorded events, wait p99 " << TP::num(big_spread.p99_ms, 4)
               << " ms); the sharded byte-identity gate ran on the cold run\n";
   }
-
-  session.record("fleet_hubs", big_hubs);
-  session.record("fleet_events", big_events);
-  session.record("fleet_wall_ms", big_ms);
-  session.record("fleet_sharded_ms", big_sharded_ms);
-  session.record("fleet_shards_used", shards_used);
-  session.record("fleet_events_per_sec", big_eps);
-  session.record("fleet_sharded_events_per_sec", sharded_eps);
-  session.record("fleet_byte_identical", identical ? 1.0 : 0.0);
-  session.record("fleet_memo_reused", memo_reused ? 1.0 : 0.0);
-  session.record("fleet_cold", big_cold ? 1.0 : 0.0);
 
   return monotone && identical && memo_reused && shards_used > 1 ? 0 : 1;
 }

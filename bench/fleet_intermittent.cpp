@@ -9,7 +9,6 @@
 // mixed fleet — crashing+bursty hubs, solar-harvesting hubs and plain mains
 // hubs side by side — is run single-threaded and sharded across --jobs
 // workers, and the two ScenarioResult JSON texts must be byte-identical.
-#include <chrono>
 #include <optional>
 #include <thread>
 
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
                    std::to_string(a.samples_lost_crash),
                TP::num(r.total_joules(), 5), TP::num(a.billed_j, 5),
                TP::num(a.harvested_j, 5), TP::num(a.energy_neutral_margin(), 4)});
-    session.record(std::string{"uptime_"} + profile.name, uptime);
   }
   std::cout << t.render() << '\n';
   std::cout << "Losses split by cause (faults/outage/crash); the margin is\n"
@@ -182,21 +180,10 @@ int main(int argc, char** argv) {
             << " hubs, 1 vs " << shard_jobs << " shards\n";
 
   const core::Scenario mixed = mixed_fleet(hubs, session.windows());
-  auto timed_run = [&](const core::ExecPolicy& policy) {
-    const auto t0 = std::chrono::steady_clock::now();
-    core::ScenarioResult r = core::run_scenario(mixed, policy);
-    const double ms =
-        std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0)
-            .count();
-    return std::pair{std::move(r), ms};
-  };
-
-  const auto [single, single_ms] = timed_run(core::ExecPolicy{});
-  const auto [sharded, sharded_ms] = timed_run(core::ExecPolicy{.shards = shard_jobs});
-
-  const std::string single_json = core::to_json_text(single);
-  const std::string sharded_json = core::to_json_text(sharded);
-  const bool identical = single_json == sharded_json;
+  const core::ScenarioResult single = core::run_scenario(mixed, core::ExecPolicy{});
+  const core::ScenarioResult sharded =
+      core::run_scenario(mixed, core::ExecPolicy{.shards = shard_jobs});
+  const bool identical = core::to_json_text(single) == core::to_json_text(sharded);
 
   const auto& mixed_avail = single.energy.availability();
   std::cout << "mixed fleet: reboots=" << mixed_avail.reboots
@@ -204,14 +191,6 @@ int main(int argc, char** argv) {
             << " harvested_j=" << TP::num(mixed_avail.harvested_j, 5) << '\n';
   std::cout << "sharded vs single-thread ScenarioResult JSON: "
             << (identical ? "byte-identical" : "DIVERGED") << '\n';
-
-  session.record("fleet_hubs", hubs);
-  session.record("fleet_shards", shard_jobs);
-  session.record("fleet_single_ms", single_ms);
-  session.record("fleet_sharded_ms", sharded_ms);
-  session.record("fleet_reboots", static_cast<double>(mixed_avail.reboots));
-  session.record("fleet_windows_lost", static_cast<double>(mixed_avail.windows_lost));
-  session.record("fleet_byte_identical", identical ? 1.0 : 0.0);
 
   return identical ? 0 : 1;
 }

@@ -4,9 +4,9 @@
 using namespace iotsim;
 
 int main(int argc, char** argv) {
-  // No sweep here, but the Session still gives this target the standard
-  // flag surface (--help) and the --json record (wall time, peak RSS).
-  bench::Session session{bench::parse_options(argc, argv)};
+  // No sweep here; parsing the shared flags still gives this target the
+  // standard flag surface (--help, exit 2 on a bad flag).
+  (void)bench::parse_options(argc, argv);
   std::cout << "=== Table I: sensor specifications ===\n\n";
   trace::TablePrinter t{{"No.", "Sensor", "Bus", "Read (ms)", "Pwr typ (mW)", "Output",
                          "Bytes", "Max rate (Hz)", "QoS rate (Hz)", "MCU-friendly"}};

@@ -19,9 +19,9 @@ constexpr PaperRow kPaper[11] = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // No sweep here, but the Session still gives this target the standard
-  // flag surface (--help) and the --json record (wall time, peak RSS).
-  bench::Session session{bench::parse_options(argc, argv)};
+  // No sweep here; parsing the shared flags still gives this target the
+  // standard flag surface (--help, exit 2 on a bad flag).
+  (void)bench::parse_options(argc, argv);
   std::cout << "=== Table II: workload features ===\n\n";
   trace::TablePrinter t{{"No.", "Benchmark", "Category", "Sensors", "Data (KB)", "Paper KB",
                          "#Interrupts", "Paper", "User-level task"}};

@@ -47,15 +47,7 @@ void write_number(std::ostringstream& os, double d) {
   }
 }
 
-void write(std::ostringstream& os, const Value& v, int indent, int depth) {
-  const bool pretty = indent > 0;
-  auto newline = [&](int d) {
-    if (pretty) {
-      os << '\n';
-      for (int i = 0; i < d * indent; ++i) os << ' ';
-    }
-  };
-
+void write(std::ostringstream& os, const Value& v) {
   if (v.is_null()) {
     os << "null";
   } else if (v.is_bool()) {
@@ -69,10 +61,8 @@ void write(std::ostringstream& os, const Value& v, int indent, int depth) {
     os << '[';
     for (std::size_t i = 0; i < arr.size(); ++i) {
       if (i > 0) os << ',';
-      newline(depth + 1);
-      write(os, arr[i], indent, depth + 1);
+      write(os, arr[i]);
     }
-    if (!arr.empty()) newline(depth);
     os << ']';
   } else {
     const auto& obj = v.as_object();
@@ -80,12 +70,9 @@ void write(std::ostringstream& os, const Value& v, int indent, int depth) {
     std::size_t i = 0;
     for (const auto& [key, val] : obj) {
       if (i++ > 0) os << ',';
-      newline(depth + 1);
       os << '"' << escape_string(key) << "\":";
-      if (pretty) os << ' ';
-      write(os, val, indent, depth + 1);
+      write(os, val);
     }
-    if (!obj.empty()) newline(depth);
     os << '}';
   }
 }
@@ -94,13 +81,7 @@ void write(std::ostringstream& os, const Value& v, int indent, int depth) {
 
 std::string dump(const Value& v) {
   std::ostringstream os;
-  write(os, v, 0, 0);
-  return os.str();
-}
-
-std::string dump_pretty(const Value& v) {
-  std::ostringstream os;
-  write(os, v, 2, 0);
+  write(os, v);
   return os.str();
 }
 

@@ -1,4 +1,4 @@
-// JSON serialisation (compact or pretty) with standard escaping.
+// Compact JSON serialisation with standard escaping.
 #pragma once
 
 #include <string>
@@ -9,9 +9,6 @@ namespace iotsim::codecs::json {
 
 /// Compact serialisation: {"a":1,"b":[true,null]}
 [[nodiscard]] std::string dump(const Value& v);
-
-/// Pretty serialisation with 2-space indent.
-[[nodiscard]] std::string dump_pretty(const Value& v);
 
 /// Escapes a string body per RFC 8259 (quotes not included).
 [[nodiscard]] std::string escape_string(const std::string& s);

@@ -116,10 +116,6 @@ TEST(JsonRoundTrip, DumpThenParsePreservesValue) {
   const auto r = parse(dump(v));
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r.value, v);
-
-  const auto rp = parse(dump_pretty(v));
-  ASSERT_TRUE(rp.ok());
-  EXPECT_EQ(*rp.value, v);
 }
 
 TEST(JsonRoundTrip, DeepNesting) {
