@@ -1,7 +1,6 @@
 #include "codecs/jpeg/huffman.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace iotsim::codecs::jpeg {
 
@@ -46,18 +45,30 @@ HuffmanTable::HuffmanTable(std::span<const std::uint8_t> bits,
     k += bits[static_cast<std::size_t>(l - 1)];
     maxcode_[static_cast<std::size_t>(l)] = codes[k - 1];
   }
+
+  // One-lookup decode: for every kLookaheadBits-bit window, the result of
+  // the bit-serial walk below when it ends within the window.
+  for (std::uint32_t window = 0; window < lookup_.size(); ++window) {
+    for (int l = 1; l <= kLookaheadBits; ++l) {
+      const auto code = static_cast<std::int32_t>(window >> (kLookaheadBits - l));
+      const auto ul = static_cast<std::size_t>(l);
+      if (maxcode_[ul] < 0 || code > maxcode_[ul]) continue;
+      const auto idx = static_cast<std::size_t>(valptr_[ul] + code - mincode_[ul]);
+      if (idx < vals_.size()) lookup_[window] = Lookup{vals_[idx], static_cast<std::uint8_t>(l)};
+      break;
+    }
+  }
 }
 
-std::optional<std::uint8_t> HuffmanTable::decode_symbol(BitReader& reader) const {
-  std::int32_t code = 0;
+std::optional<std::uint8_t> HuffmanTable::decode_slow(BitReader& reader) const {
+  // decode_symbol has refilled: fewer than 16 bits means the data ends.
   for (int l = 1; l <= 16; ++l) {
-    const auto bit = reader.next_bit();
-    if (!bit) return std::nullopt;
-    code = (code << 1) | *bit;
-    if (maxcode_[static_cast<std::size_t>(l)] >= 0 &&
-        code <= maxcode_[static_cast<std::size_t>(l)]) {
-      const auto idx = static_cast<std::size_t>(
-          valptr_[static_cast<std::size_t>(l)] + code - mincode_[static_cast<std::size_t>(l)]);
+    if (l > reader.bits_) return std::nullopt;
+    const auto code = static_cast<std::int32_t>(reader.acc_ >> (64 - l));
+    const auto ul = static_cast<std::size_t>(l);
+    if (maxcode_[ul] >= 0 && code <= maxcode_[ul]) {
+      reader.consume(l);
+      const auto idx = static_cast<std::size_t>(valptr_[ul] + code - mincode_[ul]);
       if (idx >= vals_.size()) return std::nullopt;
       return vals_[idx];
     }
@@ -119,78 +130,45 @@ const HuffmanTable& HuffmanTable::ac_chrominance() {
   return t;
 }
 
-void BitWriter::emit_byte(std::uint8_t b) {
-  out_.push_back(b);
-  if (b == 0xFF) out_.push_back(0x00);  // stuffing
-}
-
-void BitWriter::put_bits(std::uint32_t value, int count) {
-  assert(count >= 0 && count <= 24);
-  acc_ = (acc_ << count) | (value & ((1u << count) - 1u));
-  bit_count_ += count;
-  while (bit_count_ >= 8) {
-    emit_byte(static_cast<std::uint8_t>((acc_ >> (bit_count_ - 8)) & 0xFF));
-    bit_count_ -= 8;
-  }
-}
-
 void BitWriter::flush() {
-  if (bit_count_ > 0) {
-    const int pad = 8 - bit_count_;
-    put_bits((1u << pad) - 1u, pad);  // pad with ones
+  const int pad = (8 - bit_count_ % 8) % 8;
+  put_bits((1u << pad) - 1u, pad);  // pad with ones
+  while (bit_count_ > 0) {
+    bit_count_ -= 8;
+    put_byte(static_cast<std::uint8_t>(acc_ >> bit_count_));
   }
 }
 
-std::optional<int> BitReader::next_bit() {
-  if (bit_pos_ == 8) {
-    if (pos_ >= data_.size()) return std::nullopt;
-    current_ = data_[pos_++];
-    if (current_ == 0xFF) {
-      if (pos_ >= data_.size()) return std::nullopt;
-      const std::uint8_t next = data_[pos_];
-      if (next == 0x00) {
-        ++pos_;  // stuffed byte
-      } else {
-        return std::nullopt;  // a real marker: entropy data ends
-      }
+void BitReader::refill() {
+  while (bits_ <= 56 && !ended_) {
+    if (pos_ >= data_.size()) {
+      ended_ = true;
+      break;
     }
-    bit_pos_ = 0;
+    const std::uint8_t b = data_[pos_];
+    if (b == 0xFF) {
+      // Only a stuffed 0xFF 0x00 is data; anything else is a marker.
+      if (pos_ + 1 >= data_.size() || data_[pos_ + 1] != 0x00) {
+        ended_ = true;
+        break;
+      }
+      pos_ += 2;
+    } else {
+      ++pos_;
+    }
+    acc_ |= std::uint64_t{b} << (56 - bits_);
+    bits_ += 8;
   }
-  const int bit = (current_ >> (7 - bit_pos_)) & 1;
-  ++bit_pos_;
-  return bit;
 }
 
-std::optional<std::uint32_t> BitReader::read_bits(int count) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < count; ++i) {
-    const auto bit = next_bit();
-    if (!bit) return std::nullopt;
-    v = (v << 1) | static_cast<std::uint32_t>(*bit);
+std::size_t BitReader::consumed() const {
+  // The whole bytes still buffered sit below the partly read one; each
+  // buffered 0xFF also took its stuffed 0x00 from the input.
+  std::size_t pending = 0;
+  for (int j = 0; j < bits_ / 8; ++j) {
+    pending += ((acc_ >> (64 - bits_ + 8 * j)) & 0xFF) == 0xFF ? 2 : 1;
   }
-  return v;
-}
-
-int bit_category(int v) {
-  int a = std::abs(v);
-  int bits = 0;
-  while (a > 0) {
-    a >>= 1;
-    ++bits;
-  }
-  return bits;
-}
-
-std::uint32_t magnitude_bits(int v, int category) {
-  if (v >= 0) return static_cast<std::uint32_t>(v);
-  return static_cast<std::uint32_t>(v + (1 << category) - 1);
-}
-
-int extend_magnitude(std::uint32_t bits, int category) {
-  if (category == 0) return 0;
-  const std::uint32_t threshold = 1u << (category - 1);
-  if (bits >= threshold) return static_cast<int>(bits);
-  return static_cast<int>(bits) - (1 << category) + 1;
+  return pos_ - pending;
 }
 
 }  // namespace iotsim::codecs::jpeg

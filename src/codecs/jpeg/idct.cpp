@@ -1,6 +1,7 @@
 #include "codecs/jpeg/idct.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -8,15 +9,18 @@ namespace iotsim::codecs::jpeg {
 
 namespace {
 
-/// Cosine basis: cos((2x+1)uπ/16), plus the orthonormal scale factors.
+/// Cosine basis: cos((2x+1)uπ/16), its transpose, plus the orthonormal
+/// scale factors.
 struct DctBasis {
-  double cosine[8][8];
+  double cosine[8][8];      // [x][u]
+  double transposed[8][8];  // [u][x]
   double scale[8];
 
   DctBasis() {
     for (int x = 0; x < 8; ++x) {
       for (int u = 0; u < 8; ++u) {
         cosine[x][u] = std::cos((2.0 * x + 1.0) * u * std::numbers::pi / 16.0);
+        transposed[u][x] = cosine[x][u];
       }
     }
     scale[0] = std::sqrt(1.0 / 8.0);
@@ -54,34 +58,50 @@ void fdct_8x8(const Block& in, Block& out) {
 
 void idct_8x8(const Block& in, Block& out) {
   const auto& b = basis();
-  double tmp[64];
-  // Columns.
+  // A sum started at +0.0 never becomes -0.0, so adding a zero term never
+  // changes it: all-zero columns, the zero rows below a column's last
+  // nonzero coefficient, and the row terms of all-zero columns are skipped
+  // with no effect on the bits.
+  double cols[8][8];  // cols[i][y] = scale[u] * column u's sum at row y
+  int live[8];
+  int n_live = 0;
   for (int u = 0; u < 8; ++u) {
-    for (int y = 0; y < 8; ++y) {
-      double s = 0.0;
-      for (int v = 0; v < 8; ++v) {
-        s += b.scale[v] * in[static_cast<std::size_t>(v * 8 + u)] * b.cosine[y][v];
-      }
-      tmp[y * 8 + u] = s;
+    int rows = 0;  // 1 + the last row with a nonzero coefficient
+    for (int v = 0; v < 8; ++v) {
+      if (in[static_cast<std::size_t>(v * 8 + u)] != 0.0) rows = v + 1;
     }
+    if (rows == 0) continue;
+    // Columns: sum_v (scale[v] in[v][u]) cos[y][v].
+    double acc[8] = {};
+    for (int v = 0; v < rows; ++v) {
+      const double p = b.scale[v] * in[static_cast<std::size_t>(v * 8 + u)];
+      for (int y = 0; y < 8; ++y) acc[y] += p * b.transposed[v][y];
+    }
+    for (int y = 0; y < 8; ++y) cols[n_live][y] = b.scale[u] * acc[y];
+    live[n_live++] = u;
   }
-  // Rows.
+  // Rows: out[y][x] = sum_u (scale[u] column_u[y]) cos[x][u].
   for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      double s = 0.0;
-      for (int u = 0; u < 8; ++u) s += b.scale[u] * tmp[y * 8 + u] * b.cosine[x][u];
-      out[static_cast<std::size_t>(y * 8 + x)] = s;
+    double acc[8] = {};
+    for (int i = 0; i < n_live; ++i) {
+      const double p = cols[i][y];
+      const double* c = b.transposed[live[i]];
+      for (int x = 0; x < 8; ++x) acc[x] += p * c[x];
     }
+    for (int x = 0; x < 8; ++x) out[static_cast<std::size_t>(y * 8 + x)] = acc[x];
   }
 }
 
-const std::array<int, 64> kZigzagOrder = {
-    0,  1,  8,  16, 9,  2,  3,  10, 17, 24, 32, 25, 18, 11, 4,  5,
-    12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6,  7,  14, 21, 28,
-    35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
-    58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63};
-
 namespace {
+
+/// kZigzagBit[n] = the bit of natural coefficient n in a zig-zag-ordered mask.
+constexpr std::array<std::uint64_t, 64> kZigzagBit = [] {
+  std::array<std::uint64_t, 64> bits{};
+  for (std::size_t k = 0; k < 64; ++k) {
+    bits[static_cast<std::size_t>(kZigzagOrder[k])] = std::uint64_t{1} << k;
+  }
+  return bits;
+}();
 
 constexpr std::array<int, 64> kLumaBase = {
     16, 11, 10, 16, 24,  40,  51,  61,  12, 12, 14, 19, 26,  58,  60,  55,
@@ -111,22 +131,39 @@ QuantTable scale_table(const std::array<int, 64>& base, int quality) {
 QuantTable luminance_quant_table(int quality) { return scale_table(kLumaBase, quality); }
 QuantTable chrominance_quant_table(int quality) { return scale_table(kChromaBase, quality); }
 
-Ycbcr rgb_to_ycbcr(std::uint8_t r, std::uint8_t g, std::uint8_t b) {
-  const double rd = r, gd = g, bd = b;
-  return Ycbcr{0.299 * rd + 0.587 * gd + 0.114 * bd,
-               -0.168736 * rd - 0.331264 * gd + 0.5 * bd + 128.0,
-               0.5 * rd - 0.418688 * gd - 0.081312 * bd + 128.0};
+Quantizer::Quantizer(const QuantTable& table) : table_{table} {
+  for (std::size_t n = 0; n < 64; ++n) reciprocal_[n] = 1.0 / table_[n];
 }
 
-void ycbcr_to_rgb(double y, double cb, double cr, std::uint8_t& r, std::uint8_t& g,
-                  std::uint8_t& b) {
-  const double c = cb - 128.0, d = cr - 128.0;
-  auto clamp8 = [](double v) {
-    return static_cast<std::uint8_t>(std::clamp(std::lround(v), 0L, 255L));
-  };
-  r = clamp8(y + 1.402 * d);
-  g = clamp8(y - 0.344136 * c - 0.714136 * d);
-  b = clamp8(y + 1.772 * c);
+std::uint64_t Quantizer::quantize(const Block& freq, std::array<int, 64>& coeffs) const {
+  // q = freq * (1/table) carries two roundings, so it is within |q|·2^-51 of
+  // the quotient freq / table and rounds like it unless a half-integer lies
+  // that close. A negative slack flags those, and |q| > 2^31; the block is
+  // then quantised again by exact division. Adding 1.5·2^52 rounds q to the
+  // nearest integer, which lands in the low mantissa bits: lround's answer
+  // away from ties.
+  constexpr double kRoundMagic = 0x1.8p52;
+  std::uint64_t slack_signs = 0;
+  std::uint64_t nonzero = 0;
+  for (std::size_t n = 0; n < 64; ++n) {
+    const double q = freq[n] * reciprocal_[n];
+    const double shifted = q + kRoundMagic;
+    const double r = shifted - kRoundMagic;
+    coeffs[n] = static_cast<std::int32_t>(std::bit_cast<std::uint64_t>(shifted));
+    const double slack = 0.5 - std::abs(q - r) - std::abs(q) * 0x1p-48;
+    slack_signs |= std::bit_cast<std::uint64_t>(slack) |
+                   std::bit_cast<std::uint64_t>(0x1p31 - std::abs(q));
+    // r is zero iff |q| < 0.5 (a tie at 0.5 is flagged): the sign of |q| - 0.5.
+    const auto below_half = std::bit_cast<std::uint64_t>(std::abs(q) - 0.5) >> 63;
+    nonzero |= kZigzagBit[n] & (below_half - 1);
+  }
+  if ((slack_signs >> 63) == 0) return nonzero;
+  nonzero = 0;
+  for (std::size_t n = 0; n < 64; ++n) {
+    coeffs[n] = static_cast<int>(std::lround(freq[n] / table_[n]));
+    nonzero |= coeffs[n] != 0 ? kZigzagBit[n] : 0;
+  }
+  return nonzero;
 }
 
 }  // namespace iotsim::codecs::jpeg

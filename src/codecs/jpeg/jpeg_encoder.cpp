@@ -1,8 +1,9 @@
 #include "codecs/jpeg/jpeg_encoder.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
-#include <cmath>
 
 #include "codecs/jpeg/huffman.h"
 #include "codecs/jpeg/idct.h"
@@ -86,112 +87,97 @@ void write_sos(std::vector<std::uint8_t>& out) {
   out.push_back(0);   // successive approximation
 }
 
-/// FDCT + quantise + entropy-code one 8×8 block of level-shifted samples.
-void encode_block(const double* samples, const QuantTable& quant, int& dc_pred,
-                  const HuffmanTable& dc_table, const HuffmanTable& ac_table,
-                  BitWriter& writer) {
-  Block shifted;
-  for (int i = 0; i < 64; ++i) shifted[static_cast<std::size_t>(i)] = samples[i] - 128.0;
-  Block freq;
-  fdct_8x8(shifted, freq);
+/// Quantiser, Huffman tables and DC predictor of one component's blocks.
+struct ComponentCoder {
+  const Quantizer& quant;
+  const HuffmanTable& dc;
+  const HuffmanTable& ac;
+  int dc_pred = 0;
+};
 
-  int coeffs[64];
-  for (int k = 0; k < 64; ++k) {
-    const int natural = kZigzagOrder[static_cast<std::size_t>(k)];
-    coeffs[k] = static_cast<int>(std::lround(freq[static_cast<std::size_t>(natural)] /
-                                             quant[static_cast<std::size_t>(natural)]));
-  }
-
-  // DC difference.
-  const int diff = coeffs[0] - dc_pred;
-  dc_pred = coeffs[0];
-  const int dc_cat = bit_category(diff);
-  const auto dc_code = dc_table.encode(static_cast<std::uint8_t>(dc_cat));
-  assert(dc_code.length > 0);
-  writer.put_bits(dc_code.code, dc_code.length);
-  if (dc_cat > 0) writer.put_bits(magnitude_bits(diff, dc_cat), dc_cat);
-
-  // AC run-length coding.
-  int run = 0;
-  for (int k = 1; k < 64; ++k) {
-    if (coeffs[k] == 0) {
-      ++run;
-      continue;
-    }
-    while (run >= 16) {
-      const auto zrl = ac_table.encode(0xF0);
-      writer.put_bits(zrl.code, zrl.length);
-      run -= 16;
-    }
-    const int cat = bit_category(coeffs[k]);
-    const auto symbol = static_cast<std::uint8_t>((run << 4) | cat);
-    const auto code = ac_table.encode(symbol);
-    assert(code.length > 0);
-    writer.put_bits(code.code, code.length);
-    writer.put_bits(magnitude_bits(coeffs[k], cat), cat);
-    run = 0;
-  }
-  if (run > 0) {
-    const auto eob = ac_table.encode(0x00);
-    writer.put_bits(eob.code, eob.length);
-  }
+/// Appends a Huffman code followed by `category` magnitude bits of v.
+void put_code(BitWriter& writer, HuffmanTable::CodeWord code, int v, int category) {
+  assert(code.length > 0);
+  writer.put_bits((std::uint32_t{code.code} << category) | magnitude_bits(v, category),
+                  code.length + category);
 }
 
-/// Y/Cb/Cr value of the clamped pixel (px, py).
-Ycbcr pixel_ycbcr(const Image& image, int px, int py) {
-  const int x = std::clamp(px, 0, image.width - 1);
-  const int y = std::clamp(py, 0, image.height - 1);
-  const auto* rgb = image.pixel(x, y);
-  return rgb_to_ycbcr(rgb[0], rgb[1], rgb[2]);
+/// FDCT + quantise + entropy-code one 8×8 block of level-shifted samples.
+void encode_block(const Block& shifted, ComponentCoder& comp, BitWriter& writer) {
+  Block freq;
+  fdct_8x8(shifted, freq);
+  std::array<int, 64> coeffs;  // natural order
+  const std::uint64_t nonzero = comp.quant.quantize(freq, coeffs);
+
+  // DC difference.
+  const int diff = coeffs[0] - comp.dc_pred;
+  comp.dc_pred = coeffs[0];
+  const int dc_cat = bit_category(diff);
+  put_code(writer, comp.dc.encode(static_cast<std::uint8_t>(dc_cat)), diff, dc_cat);
+
+  // AC run-length coding, visiting only the nonzero coefficients.
+  std::uint64_t ac = nonzero & ~std::uint64_t{1};
+  int last = 0;
+  while (ac != 0) {
+    const int k = std::countr_zero(ac);
+    ac &= ac - 1;
+    int run = k - last - 1;
+    for (; run >= 16; run -= 16) put_code(writer, comp.ac.encode(0xF0), 0, 0);  // ZRL
+    const int v = coeffs[static_cast<std::size_t>(kZigzagOrder[static_cast<std::size_t>(k)])];
+    const int cat = bit_category(v);
+    put_code(writer, comp.ac.encode(static_cast<std::uint8_t>((run << 4) | cat)), v, cat);
+    last = k;
+  }
+  if (last < 63) put_code(writer, comp.ac.encode(0x00), 0, 0);  // EOB
+}
+
+/// Y, Cb and Cr minus `offset` of the 8×8 pixels at (x0, y0); pixels past
+/// the right and bottom edges replicate the border.
+void load_ycbcr(const Image& image, int x0, int y0, double offset, Block& y, Block& cb, Block& cr) {
+  int offsets[8];  // byte offset of each column's pixel within a row
+  for (int col = 0; col < 8; ++col) offsets[col] = std::min(x0 + col, image.width - 1) * 3;
+  std::uint8_t rgb[3][64];
+  for (int row = 0; row < 8; ++row) {
+    const std::uint8_t* line = image.pixel(0, std::min(y0 + row, image.height - 1));
+    for (int col = 0; col < 8; ++col) {
+      const std::uint8_t* p = line + offsets[col];
+      for (int c = 0; c < 3; ++c) rgb[c][row * 8 + col] = p[c];
+    }
+  }
+  for (std::size_t i = 0; i < 64; ++i) {
+    const Ycbcr c = rgb_to_ycbcr(rgb[0][i], rgb[1][i], rgb[2][i]);
+    y[i] = c.y - offset;
+    cb[i] = c.cb - offset;
+    cr[i] = c.cr - offset;
+  }
 }
 
 /// Entropy data for 4:4:4 — one block per component per 8×8 MCU.
-void encode_scan_444(const Image& image, const QuantTable& luma_q, const QuantTable& chroma_q,
-                     BitWriter& writer) {
-  int dc_pred[3] = {0, 0, 0};
+void encode_scan_444(const Image& image, ComponentCoder (&comps)[3], BitWriter& writer) {
   const int mcu_cols = (image.width + 7) / 8;
   const int mcu_rows = (image.height + 7) / 8;
-  double plane[3][64];
+  Block y, cb, cr;
   for (int my = 0; my < mcu_rows; ++my) {
     for (int mx = 0; mx < mcu_cols; ++mx) {
-      for (int y = 0; y < 8; ++y) {
-        for (int x = 0; x < 8; ++x) {
-          const Ycbcr c = pixel_ycbcr(image, mx * 8 + x, my * 8 + y);
-          plane[0][y * 8 + x] = c.y;
-          plane[1][y * 8 + x] = c.cb;
-          plane[2][y * 8 + x] = c.cr;
-        }
-      }
-      encode_block(plane[0], luma_q, dc_pred[0], HuffmanTable::dc_luminance(),
-                   HuffmanTable::ac_luminance(), writer);
-      encode_block(plane[1], chroma_q, dc_pred[1], HuffmanTable::dc_chrominance(),
-                   HuffmanTable::ac_chrominance(), writer);
-      encode_block(plane[2], chroma_q, dc_pred[2], HuffmanTable::dc_chrominance(),
-                   HuffmanTable::ac_chrominance(), writer);
+      load_ycbcr(image, mx * 8, my * 8, 128.0, y, cb, cr);
+      encode_block(y, comps[0], writer);
+      encode_block(cb, comps[1], writer);
+      encode_block(cr, comps[2], writer);
     }
   }
 }
 
 /// Entropy data for 4:2:0 — 16×16 MCUs: 4 luma blocks then one 2×2-averaged
 /// block each of Cb and Cr.
-void encode_scan_420(const Image& image, const QuantTable& luma_q, const QuantTable& chroma_q,
-                     BitWriter& writer) {
-  int dc_pred[3] = {0, 0, 0};
+void encode_scan_420(const Image& image, ComponentCoder (&comps)[3], BitWriter& writer) {
   const int mcu_cols = (image.width + 15) / 16;
   const int mcu_rows = (image.height + 15) / 16;
-  double luma[4][64];
-  double cb[64], cr[64];
+  Block luma[4], cb[4], cr[4];  // the MCU's 8×8 quarters in raster order
+  Block cb_avg, cr_avg;
   for (int my = 0; my < mcu_rows; ++my) {
     for (int mx = 0; mx < mcu_cols; ++mx) {
-      // Four 8×8 luma blocks in raster order within the 16×16 MCU.
-      for (int block = 0; block < 4; ++block) {
-        const int ox = mx * 16 + (block % 2) * 8;
-        const int oy = my * 16 + (block / 2) * 8;
-        for (int y = 0; y < 8; ++y) {
-          for (int x = 0; x < 8; ++x) {
-            luma[block][y * 8 + x] = pixel_ycbcr(image, ox + x, oy + y).y;
-          }
-        }
+      for (int q = 0; q < 4; ++q) {
+        load_ycbcr(image, mx * 16 + (q % 2) * 8, my * 16 + (q / 2) * 8, 0.0, luma[q], cb[q], cr[q]);
       }
       // Chroma: 2×2 box average across the 16×16 region.
       for (int y = 0; y < 8; ++y) {
@@ -199,24 +185,23 @@ void encode_scan_420(const Image& image, const QuantTable& luma_q, const QuantTa
           double sum_cb = 0.0, sum_cr = 0.0;
           for (int dy = 0; dy < 2; ++dy) {
             for (int dx = 0; dx < 2; ++dx) {
-              const Ycbcr c =
-                  pixel_ycbcr(image, mx * 16 + x * 2 + dx, my * 16 + y * 2 + dy);
-              sum_cb += c.cb;
-              sum_cr += c.cr;
+              const int sx = x * 2 + dx, sy = y * 2 + dy;
+              const auto q = static_cast<std::size_t>((sy / 8) * 2 + sx / 8);
+              const auto i = static_cast<std::size_t>((sy % 8) * 8 + sx % 8);
+              sum_cb += cb[q][i];
+              sum_cr += cr[q][i];
             }
           }
-          cb[y * 8 + x] = sum_cb / 4.0;
-          cr[y * 8 + x] = sum_cr / 4.0;
+          cb_avg[static_cast<std::size_t>(y * 8 + x)] = sum_cb / 4.0 - 128.0;
+          cr_avg[static_cast<std::size_t>(y * 8 + x)] = sum_cr / 4.0 - 128.0;
         }
       }
-      for (int block = 0; block < 4; ++block) {
-        encode_block(luma[block], luma_q, dc_pred[0], HuffmanTable::dc_luminance(),
-                     HuffmanTable::ac_luminance(), writer);
+      for (Block& block : luma) {
+        for (double& v : block) v -= 128.0;
+        encode_block(block, comps[0], writer);
       }
-      encode_block(cb, chroma_q, dc_pred[1], HuffmanTable::dc_chrominance(),
-                   HuffmanTable::ac_chrominance(), writer);
-      encode_block(cr, chroma_q, dc_pred[2], HuffmanTable::dc_chrominance(),
-                   HuffmanTable::ac_chrominance(), writer);
+      encode_block(cb_avg, comps[1], writer);
+      encode_block(cr_avg, comps[2], writer);
     }
   }
 }
@@ -240,15 +225,19 @@ std::vector<std::uint8_t> encode(const Image& image, const EncoderConfig& cfg) {
   write_dht(out, 1, 1, HuffmanTable::ac_chrominance());
   write_sos(out);
 
-  BitWriter writer;
+  const Quantizer luma{luma_q}, chroma{chroma_q};
+  ComponentCoder comps[3] = {
+      {luma, HuffmanTable::dc_luminance(), HuffmanTable::ac_luminance(), 0},
+      {chroma, HuffmanTable::dc_chrominance(), HuffmanTable::ac_chrominance(), 0},
+      {chroma, HuffmanTable::dc_chrominance(), HuffmanTable::ac_chrominance(), 0}};
+  BitWriter writer{std::move(out)};  // entropy data follows the headers
   if (cfg.subsample_420) {
-    encode_scan_420(image, luma_q, chroma_q, writer);
+    encode_scan_420(image, comps, writer);
   } else {
-    encode_scan_444(image, luma_q, chroma_q, writer);
+    encode_scan_444(image, comps, writer);
   }
   writer.flush();
-  const auto& entropy = writer.bytes();
-  out.insert(out.end(), entropy.begin(), entropy.end());
+  out = writer.take();
 
   put_marker(out, 0xD9);  // EOI
   return out;

@@ -5,9 +5,13 @@
 namespace iotsim::env {
 
 namespace {
-// Crash RNG salt ("envcrash"): keeps the crash stream independent of the
-// hub RNG's fork sequence, like the NIC backoff salts in HubRuntime.
-constexpr std::uint64_t kCrashSalt = 0x656E7663726173686ull >> 4;
+// Crash RNG salt: keeps the crash stream independent of the hub RNG's fork
+// sequence, like the NIC backoff salts in HubRuntime. The value is the low
+// 64 bits of 0x656E7663726173686 ("envcrash" in ASCII plus a stray 6)
+// shifted right by 4: what GCC computes from that over-long literal, which
+// is not valid C++. Any other salt would move every crash of a crashing
+// fleet, and so its results.
+constexpr std::uint64_t kCrashSalt = 0x056E766372617368ull;
 }  // namespace
 
 HubEnvironment::HubEnvironment(const EnvironmentConfig& cfg, std::uint64_t hub_seed,

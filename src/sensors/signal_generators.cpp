@@ -125,38 +125,45 @@ void AudioSignal::generate(sim::SimTime t, Sample& out) {
 
 void CameraSignal::generate(sim::SimTime t, Sample& out) {
   const double ts = t.to_seconds();
-  auto img = codecs::jpeg::Image::allocate(cfg_.width, cfg_.height);
-  // Background gradient.
-  for (int y = 0; y < cfg_.height; ++y) {
-    for (int x = 0; x < cfg_.width; ++x) {
-      auto* p = img.pixel(x, y);
-      p[0] = static_cast<std::uint8_t>((x * 200) / cfg_.width + 30);
-      p[1] = static_cast<std::uint8_t>((y * 200) / cfg_.height + 20);
-      p[2] = static_cast<std::uint8_t>(((x + y) * 150) / (cfg_.width + cfg_.height) + 50);
-    }
-  }
+  const int w = cfg_.width;
+  const int h = cfg_.height;
+  // A bright square drifting across the scene covers [ox, ox_end) of the
+  // rows [oy, oy_end); elsewhere the background is a gradient.
+  int ox = 0, ox_end = 0, oy = 0, oy_end = 0;
   if (cfg_.moving_object) {
-    // A bright square drifting across the scene.
-    const int ox = static_cast<int>(std::fmod(ts * 40.0, cfg_.width - 40));
-    const int oy = cfg_.height / 3;
-    for (int y = oy; y < std::min(oy + 32, cfg_.height); ++y) {
-      for (int x = ox; x < std::min(ox + 32, cfg_.width); ++x) {
-        auto* p = img.pixel(x, y);
-        p[0] = 240;
-        p[1] = 220;
-        p[2] = 40;
-      }
-    }
+    ox = static_cast<int>(std::fmod(ts * 40.0, cfg_.width - 40));
+    ox_end = std::min(ox + 32, w);
+    oy = h / 3;
+    oy_end = std::min(oy + 32, h);
   }
-  // Per-pixel sensor noise: calibrated so a 320×240 frame compresses to
-  // ≈24 KB, the low-res camera's Table I output size.
-  for (int y = 0; y < cfg_.height; ++y) {
-    for (int x = 0; x < cfg_.width; ++x) {
-      auto* p = img.pixel(x, y);
-      const int n = static_cast<int>(rng_.uniform_int(-16, 16));
-      for (int c = 0; c < 3; ++c) {
-        p[c] = static_cast<std::uint8_t>(std::clamp<int>(p[c] + n, 0, 255));
-      }
+  std::vector<int> red(static_cast<std::size_t>(w));
+  std::vector<int> blue(static_cast<std::size_t>(w + h));
+  for (int x = 0; x < w; ++x) red[static_cast<std::size_t>(x)] = (x * 200) / w + 30;
+  for (int s = 0; s < w + h; ++s) blue[static_cast<std::size_t>(s)] = (s * 150) / (w + h) + 50;
+
+  // Per-pixel sensor noise, one draw per pixel in raster order: calibrated
+  // so a 320×240 frame compresses to ≈24 KB, the low-res camera's Table I
+  // output size.
+  auto put = [this](std::uint8_t* p, int r, int g, int b) {
+    const int n = static_cast<int>(rng_.uniform_int(-16, 16));
+    p[0] = static_cast<std::uint8_t>(std::clamp(r + n, 0, 255));
+    p[1] = static_cast<std::uint8_t>(std::clamp(g + n, 0, 255));
+    p[2] = static_cast<std::uint8_t>(std::clamp(b + n, 0, 255));
+  };
+  auto img = codecs::jpeg::Image::allocate(w, h);
+  for (int y = 0; y < h; ++y) {
+    std::uint8_t* p = img.pixel(0, y);
+    const int green = (y * 200) / h + 20;
+    const bool object_row = y >= oy && y < oy_end;
+    const int object_begin = object_row ? std::clamp(ox, 0, w) : w;
+    const int object_end = object_row ? std::clamp(ox_end, object_begin, w) : w;
+    int x = 0;
+    for (; x < object_begin; ++x, p += 3) {
+      put(p, red[static_cast<std::size_t>(x)], green, blue[static_cast<std::size_t>(x + y)]);
+    }
+    for (; x < object_end; ++x, p += 3) put(p, 240, 220, 40);
+    for (; x < w; ++x, p += 3) {
+      put(p, red[static_cast<std::size_t>(x)], green, blue[static_cast<std::size_t>(x + y)]);
     }
   }
   out.blob = codecs::jpeg::encode(img, codecs::jpeg::EncoderConfig{cfg_.quality});

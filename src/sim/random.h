@@ -6,6 +6,8 @@
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 
 namespace iotsim::sim {
@@ -15,16 +17,32 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
   /// Uniform over all 64-bit values.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
-  /// Uniform in [0, 1).
-  double uniform();
+  /// Uniform in [0, 1): the top 53 bits as a double.
+  double uniform() { return static_cast<double>(next_u64() >> 11) * 0x1.0p-53; }
 
   /// Uniform in [lo, hi).
   double uniform(double lo, double hi);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
+  /// Uniform integer in [lo, hi] inclusive. Inline, so that a constant
+  /// range's modulo compiles to a multiply.
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    assert(lo <= hi);
+    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
+    if (span == 0) return static_cast<std::int64_t>(next_u64());  // full range
+    return lo + static_cast<std::int64_t>(next_u64() % span);
+  }
 
   /// Standard normal via Box–Muller (cached pair).
   double normal();

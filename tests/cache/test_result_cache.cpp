@@ -175,7 +175,9 @@ TEST_F(ResultCacheFixture, ConcurrentSameKeyStoresStayIntact) {
       for (int round = 0; round < 8; ++round) {
         (void)caches[static_cast<std::size_t>(t)]->store("contended-key", r);
         const auto hit = caches[static_cast<std::size_t>(t)]->lookup("contended-key");
-        if (hit != nullptr) EXPECT_EQ(encode_result(*hit), want);
+        if (hit != nullptr) {
+          EXPECT_EQ(encode_result(*hit), want);
+        }
       }
     });
   }

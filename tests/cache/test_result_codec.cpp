@@ -13,6 +13,7 @@
 #include "core/result_json.h"
 #include "core/scenario_runner.h"
 #include "core/sweep.h"
+#include "sweep_options.h"
 
 namespace iotsim::cache {
 namespace {
@@ -36,7 +37,10 @@ ScenarioResult fleet_result() {
   Scenario sc;
   sc.scheme = Scheme::kBatching;
   sc.windows = 2;
-  sc.hubs = {core::HubInstance{.app_ids = {AppId::kA2StepCounter}, .count = 3}};
+  core::HubInstance hubs;
+  hubs.app_ids = {AppId::kA2StepCounter};
+  hubs.count = 3;
+  sc.hubs = {hubs};
   return core::run_scenario(sc);
 }
 
@@ -67,7 +71,7 @@ TEST(ResultCodec, RoundTripsAFleetResult) { expect_roundtrip(fleet_result()); }
 
 TEST(ResultCodec, RoundTripsAnInvalidResult) {
   // Invalid scenarios produce error-only results; those are cacheable too.
-  core::SweepRunner runner{core::SweepOptions{.jobs = 1}};
+  core::SweepRunner runner{test::with_jobs(1)};
   const auto results = runner.run({Scenario::builder().windows(0).build()});
   ASSERT_FALSE(results[0].ok());
   expect_roundtrip(results[0]);

@@ -99,7 +99,8 @@ TEST(Huffman, BitIoRoundTripWithStuffing) {
   w.put_bits(0x5, 3);
   w.put_bits(0x1234, 16);
   w.flush();
-  BitReader r{w.bytes()};
+  const auto bytes = w.take();
+  BitReader r{bytes};
   EXPECT_EQ(r.read_bits(8).value(), 0xFFu);
   EXPECT_EQ(r.read_bits(3).value(), 0x5u);
   EXPECT_EQ(r.read_bits(16).value(), 0x1234u);
@@ -125,7 +126,8 @@ TEST(Huffman, DecodeInvertsEncode) {
     w.put_bits(code.code, code.length);
   }
   w.flush();
-  BitReader r{w.bytes()};
+  const auto bytes = w.take();
+  BitReader r{bytes};
   for (std::uint8_t s : symbols) {
     const auto decoded = table.decode_symbol(r);
     ASSERT_TRUE(decoded.has_value());

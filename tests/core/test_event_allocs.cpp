@@ -28,8 +28,15 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
+// The replacement operator new above allocates with malloc, so free is the
+// matching release. GCC's -Wmismatched-new-delete pairs any operator new
+// with operator delete only, and reports this free once it inlines these
+// functions into a caller: a false positive.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace iotsim::core {
 namespace {

@@ -9,6 +9,7 @@
 #include "core/scenario_runner.h"
 #include "core/sweep.h"
 #include "core/thread_pool.h"
+#include "sweep_options.h"
 
 namespace iotsim::core {
 namespace {
@@ -68,8 +69,8 @@ TEST(Sweep, SameResultsAtAnyJobCount) {
     sweep.push_back(quick(AppId::kA3ArduinoJson, scheme));
   }
 
-  const auto serial = SweepRunner{SweepOptions{.jobs = 1}}.run(sweep);
-  const auto parallel = SweepRunner{SweepOptions{.jobs = 8}}.run(sweep);
+  const auto serial = SweepRunner{test::with_jobs(1)}.run(sweep);
+  const auto parallel = SweepRunner{test::with_jobs(8)}.run(sweep);
   ASSERT_EQ(serial.size(), sweep.size());
   ASSERT_EQ(parallel.size(), sweep.size());
   for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -84,7 +85,7 @@ TEST(Sweep, SameResultsAtAnyJobCount) {
 TEST(Sweep, MatchesDirectRunScenario) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBatching);
   const auto direct = run_scenario(sc);
-  const auto swept = SweepRunner{SweepOptions{.jobs = 4}}.run({sc});
+  const auto swept = SweepRunner{test::with_jobs(4)}.run({sc});
   ASSERT_EQ(swept.size(), 1u);
   EXPECT_EQ(direct.total_joules(), swept[0].total_joules());
 }
@@ -93,7 +94,7 @@ TEST(Sweep, ResultsKeepInputOrder) {
   const std::vector<Scenario> sweep = {quick(AppId::kA2StepCounter, Scheme::kCom),
                                        quick(AppId::kA3ArduinoJson, Scheme::kCom),
                                        quick(AppId::kA2StepCounter, Scheme::kBaseline)};
-  const auto results = SweepRunner{SweepOptions{.jobs = 8}}.run(sweep);
+  const auto results = SweepRunner{test::with_jobs(8)}.run(sweep);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].apps.count(AppId::kA2StepCounter), 1u);
   EXPECT_EQ(results[1].apps.count(AppId::kA3ArduinoJson), 1u);
@@ -106,7 +107,7 @@ TEST(Sweep, ResultsKeepInputOrder) {
 
 TEST(Sweep, DuplicateScenariosRunOnce) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
-  SweepRunner runner{SweepOptions{.jobs = 4}};
+  SweepRunner runner{test::with_jobs(4)};
   const auto results = runner.run({sc, sc, sc, sc});
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(runner.stats().scheduled, 4u);
@@ -117,7 +118,7 @@ TEST(Sweep, DuplicateScenariosRunOnce) {
 
 TEST(Sweep, CacheSurvivesAcrossBatches) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBatching);
-  SweepRunner runner{SweepOptions{.jobs = 2}};
+  SweepRunner runner{test::with_jobs(2)};
   const auto first = runner.run({sc});
   const auto second = runner.run({sc});
   EXPECT_EQ(runner.stats().executed, 1u);
@@ -126,7 +127,7 @@ TEST(Sweep, CacheSurvivesAcrossBatches) {
 }
 
 TEST(Sweep, DistinctSeedsMissTheCache) {
-  SweepRunner runner{SweepOptions{.jobs = 2}};
+  SweepRunner runner{test::with_jobs(2)};
   (void)runner.run({quick(AppId::kA2StepCounter, Scheme::kBaseline, 1),
               quick(AppId::kA2StepCounter, Scheme::kBaseline, 2)});
   EXPECT_EQ(runner.stats().executed, 2u);
@@ -136,7 +137,7 @@ TEST(Sweep, DistinctSeedsMissTheCache) {
 
 TEST(Sweep, MemoizationCanBeDisabled) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
-  SweepRunner runner{SweepOptions{.jobs = 2, .memoize = false}};
+  SweepRunner runner{test::with_jobs(2, false)};
   (void)runner.run({sc});
   (void)runner.run({sc});
   EXPECT_EQ(runner.stats().executed, 2u);
@@ -146,7 +147,7 @@ TEST(Sweep, MemoizationCanBeDisabled) {
 
 TEST(Sweep, RunOneMemoizesToo) {
   const auto sc = quick(AppId::kA3ArduinoJson, Scheme::kCom);
-  SweepRunner runner{SweepOptions{.jobs = 1}};
+  SweepRunner runner{test::with_jobs(1)};
   const auto a = runner.run_one(sc);
   const auto b = runner.run_one(sc);
   EXPECT_EQ(runner.stats().executed, 1u);
@@ -158,7 +159,7 @@ TEST(Sweep, RunOneMemoizesToo) {
 
 TEST(Sweep, InvalidScenarioSurfacesErrorsWithoutRunning) {
   const auto bad = Scenario::builder().windows(0).build();
-  SweepRunner runner{SweepOptions{.jobs = 2}};
+  SweepRunner runner{test::with_jobs(2)};
   const auto results = runner.run({bad, quick(AppId::kA2StepCounter, Scheme::kBaseline)});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].ok());
@@ -171,7 +172,7 @@ TEST(Sweep, InvalidScenarioSurfacesErrorsWithoutRunning) {
 // ---- options --------------------------------------------------------------
 
 TEST(Sweep, ExplicitJobCountIsRespected) {
-  EXPECT_EQ(SweepRunner{SweepOptions{.jobs = 3}}.jobs(), 3);
+  EXPECT_EQ(SweepRunner{test::with_jobs(3)}.jobs(), 3);
   // jobs = 0 resolves to something runnable.
   EXPECT_GE(SweepRunner{SweepOptions{}}.jobs(), 1);
 }

@@ -11,6 +11,7 @@
 #include "cache/result_cache.h"
 #include "core/result_json.h"
 #include "core/sweep.h"
+#include "sweep_options.h"
 #include "test_temp_dir.h"
 
 namespace iotsim::core {
@@ -122,7 +123,7 @@ TEST_F(SweepDiskCacheFixture, DiskTierRequiresMemoization) {
 }
 
 TEST_F(SweepDiskCacheFixture, NoCacheDirMeansNoDiskTier) {
-  SweepRunner runner{SweepOptions{.jobs = 1}};
+  SweepRunner runner{test::with_jobs(1)};
   EXPECT_EQ(runner.disk_cache(), nullptr);
   (void)runner.run({quick(AppId::kA2StepCounter, Scheme::kBaseline)});
   EXPECT_EQ(runner.stats().disk_stores, 0u);
@@ -134,7 +135,7 @@ TEST_F(SweepDiskCacheFixture, ConcurrentRunnersShareTheDirectorySafely) {
   const auto sweep = grid();
   std::vector<std::string> want;
   {
-    SweepRunner serial{SweepOptions{.jobs = 1}};
+    SweepRunner serial{test::with_jobs(1)};
     for (const auto& r : serial.run(sweep)) want.push_back(to_json_text(r));
   }
   std::vector<std::vector<std::string>> got(2);

@@ -12,6 +12,7 @@
 #include "core/scenario_runner.h"
 #include "core/sweep.h"
 #include "net/config.h"
+#include "sweep_options.h"
 
 namespace iotsim::core {
 namespace {
@@ -62,8 +63,8 @@ TEST(Contention, SharedApFleetIsDeterministicRunToRun) {
 
 TEST(Contention, SweepJobCountDoesNotChangeSharedApResults) {
   const std::vector<Scenario> scenarios = {fleet(2.5e6), fleet(6.25e5), fleet(1.25e5)};
-  SweepRunner serial{SweepOptions{.jobs = 1, .memoize = false}};
-  SweepRunner parallel{SweepOptions{.jobs = 4, .memoize = false}};
+  SweepRunner serial{test::with_jobs(1, false)};
+  SweepRunner parallel{test::with_jobs(4, false)};
   const auto a = serial.run(scenarios);
   const auto b = parallel.run(scenarios);
   ASSERT_EQ(a.size(), b.size());
