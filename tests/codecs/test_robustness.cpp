@@ -3,6 +3,9 @@
 // from the wire).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "codecs/coap/coap_codec.h"
 #include "codecs/fingerprint/minutiae.h"
 #include "codecs/jpeg/jpeg_decoder.h"
@@ -98,6 +101,110 @@ TEST(TruncationSweep, EveryPrefixHandled) {
     (void)jpeg::decode(std::span{jpeg_wire}.first(n));
   }
   SUCCEED();
+}
+
+// Hand-built JFIF streams around the encoder's own tables. The entropy data
+// is all zero bits: the first canonical code of every Huffman table is all
+// zeros, so any scan of a small image decodes through to colour conversion
+// and only the header under test decides the outcome.
+struct Segment {
+  std::uint8_t marker;
+  std::vector<std::uint8_t> body;
+};
+
+std::vector<Segment> header_segments(const std::vector<std::uint8_t>& jfif) {
+  std::vector<Segment> out;
+  for (std::size_t pos = 2; pos + 4 <= jfif.size();) {
+    const std::uint8_t marker = jfif[pos + 1];
+    if (marker == 0xDA) break;
+    const std::size_t len = static_cast<std::size_t>((jfif[pos + 2] << 8) | jfif[pos + 3]);
+    const auto first = jfif.begin() + static_cast<std::ptrdiff_t>(pos + 4);
+    const auto last = jfif.begin() + static_cast<std::ptrdiff_t>(pos + 2 + len);
+    out.push_back({marker, {first, last}});
+    pos += 2 + len;
+  }
+  return out;
+}
+
+/// SOS body naming `ids`, each with `tables` (DC id << 4 | AC id).
+Segment sos(const std::vector<std::uint8_t>& ids, std::uint8_t tables) {
+  Segment seg{0xDA, {static_cast<std::uint8_t>(ids.size())}};
+  for (const auto id : ids) {
+    seg.body.push_back(id);
+    seg.body.push_back(tables);
+  }
+  seg.body.insert(seg.body.end(), {0, 63, 0});  // Ss, Se, Ah/Al
+  return seg;
+}
+
+std::vector<std::uint8_t> assemble(const std::vector<Segment>& segments) {
+  std::vector<std::uint8_t> out{0xFF, 0xD8};
+  for (const auto& seg : segments) {
+    const std::size_t len = seg.body.size() + 2;
+    out.insert(out.end(), {0xFF, seg.marker, static_cast<std::uint8_t>(len >> 8),
+                           static_cast<std::uint8_t>(len & 0xFF)});
+    out.insert(out.end(), seg.body.begin(), seg.body.end());
+  }
+  out.insert(out.end(), 1024, 0x00);  // zero-bit entropy data
+  out.insert(out.end(), {0xFF, 0xD9});
+  return out;
+}
+
+std::vector<Segment> small_image_header() {
+  return header_segments(jpeg::encode(jpeg::Image::allocate(16, 16)));
+}
+
+TEST(MalformedJpeg, ZeroBitScanDecodesWhenHeaderIsWellFormed) {
+  // The control for the cases below: the same construction decodes.
+  auto segments = small_image_header();
+  segments.push_back(sos({1, 2, 3}, 0x00));
+  const auto result = jpeg::decode(assemble(segments));
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.stats.components, 3);
+}
+
+TEST(MalformedJpeg, SecondSof0RejectedBeforeScan) {
+  // A second SOF0 would grow the component list past the three a colour
+  // scan can hold; 3+1 and 3+3 components, with an SOS naming them all.
+  const auto header = small_image_header();
+  const auto sof0 = std::find_if(header.begin(), header.end(),
+                                 [](const Segment& seg) { return seg.marker == 0xC0; });
+  ASSERT_NE(sof0, header.end());
+  Segment grey = *sof0;
+  grey.body.resize(6 + 3);
+  grey.body[5] = 1;
+  grey.body[6] = 4;  // component id
+  Segment colour = *sof0;
+  for (std::size_t c = 0; c < 3; ++c) colour.body[6 + c * 3] = static_cast<std::uint8_t>(4 + c);
+
+  auto decode_with = [&header](const Segment& second, const std::vector<std::uint8_t>& ids) {
+    auto segments = header;
+    segments.push_back(second);
+    segments.push_back(sos(ids, 0x00));
+    return jpeg::decode(assemble(segments));
+  };
+  const auto three_plus_one = decode_with(grey, {1, 2, 3, 4});
+  EXPECT_FALSE(three_plus_one.ok());
+  EXPECT_FALSE(three_plus_one.error.empty());
+  const auto three_plus_three = decode_with(colour, {1, 2, 3, 4, 5, 6});
+  EXPECT_FALSE(three_plus_three.ok());
+  EXPECT_FALSE(three_plus_three.error.empty());
+}
+
+TEST(MalformedJpeg, DcCategoryBeyondElevenRejected) {
+  // A baseline 8-bit DC difference has at most 11 bits. A DHT that maps DC
+  // codes to larger categories is corrupt, up to ones wider than any read.
+  for (const std::uint8_t category : {12, 31, 32, 255}) {
+    auto segments = small_image_header();
+    for (auto& seg : segments) {
+      if (seg.marker != 0xC4 || (seg.body[0] >> 4) != 0) continue;  // DC tables only
+      std::fill(seg.body.begin() + 1 + 16, seg.body.end(), category);
+    }
+    segments.push_back(sos({1, 2, 3}, 0x00));
+    const auto result = jpeg::decode(assemble(segments));
+    EXPECT_FALSE(result.ok()) << "category " << int{category};
+    EXPECT_FALSE(result.error.empty());
+  }
 }
 
 TEST(JsonFuzz, StructuredGarbageNeverCrashes) {
