@@ -240,6 +240,9 @@ std::vector<std::uint8_t> encode(const Image& image, const EncoderConfig& cfg) {
   out = writer.take();
 
   put_marker(out, 0xD9);  // EOI
+  // A camera sample keeps this buffer for the rest of its window: drop the
+  // growth slack (~40% of a 320x240 frame).
+  out.shrink_to_fit();
   return out;
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "check/check.h"
 #include "codecs/jpeg/jpeg_encoder.h"
 
 namespace iotsim::sensors {
@@ -38,6 +39,10 @@ void AccelerometerSignal::generate(sim::SimTime t, Sample& out) {
 // --------------------------------------------------------------- pulse ----
 
 PulseSignal::PulseSignal(Config cfg, sim::Rng rng) : cfg_{cfg}, rng_{rng} {
+  // Every RR interval is then positive, so the beat times ascend.
+  IOTSIM_CHECK(cfg_.bpm > 0.0 && cfg_.rr_jitter >= 0.0 && cfg_.rr_jitter < 1.0,
+               "pulse: bpm %g must be positive and rr_jitter %g in [0, 1)", cfg_.bpm,
+               cfg_.rr_jitter);
   beat_times_s_.push_back(0.35);
 }
 
@@ -55,10 +60,17 @@ void PulseSignal::extend_beats_until(double t_s) {
 void PulseSignal::generate(sim::SimTime t, Sample& out) {
   const double ts = t.to_seconds();
   extend_beats_until(ts);
+  // A beat shapes the waveform from 0.5 s before to 0.8 s after it. The
+  // beats ascend, so those in range are one run: from the first with
+  // dt <= 0.8 up to the first with dt < -0.5. The run always ends, since
+  // the last beat lies 2 s ahead.
+  if (ts < last_t_s_) first_beat_ = 0;
+  last_t_s_ = ts;
+  while (ts - beat_times_s_[first_beat_] > 0.8) ++first_beat_;
   double v = 0.0;
-  for (double tb : beat_times_s_) {
-    const double dt = ts - tb;
-    if (dt < -0.5 || dt > 0.8) continue;
+  for (std::size_t i = first_beat_; i < beat_times_s_.size(); ++i) {
+    const double dt = ts - beat_times_s_[i];
+    if (dt < -0.5) break;
     v += 1.2 * std::exp(-dt * dt / (2 * 0.008 * 0.008));                        // R
     v += 0.15 * std::exp(-(dt - 0.18) * (dt - 0.18) / (2 * 0.045 * 0.045));     // T
     v -= 0.08 * std::exp(-(dt + 0.05) * (dt + 0.05) / (2 * 0.012 * 0.012));     // Q

@@ -67,7 +67,12 @@ class PulseSignal final : public SignalGenerator {
   void extend_beats_until(double t_s);
   Config cfg_;
   sim::Rng rng_;
-  std::vector<double> beat_times_s_;
+  std::vector<double> beat_times_s_;  // ascending
+  /// First beat that can still shape the waveform at `last_t_s_` (at most
+  /// 0.8 s before it); the beats before it are past for good while t only
+  /// advances.
+  std::size_t first_beat_ = 0;
+  double last_t_s_ = 0.0;
 };
 
 /// Scalar environment quantity as a mean-reverting random walk with an

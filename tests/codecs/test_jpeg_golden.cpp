@@ -37,7 +37,7 @@ struct Golden {
   std::size_t blocks, entropy_bytes;
 };
 
-void expect_golden(const std::vector<std::uint8_t>& jfif, const Golden& want) {
+void expect_golden(std::span<const std::uint8_t> jfif, const Golden& want) {
   EXPECT_EQ(jfif.size(), want.size);
   EXPECT_EQ(util::crc32(jfif), want.crc);
   const auto decoded = decode(jfif);
@@ -105,6 +105,13 @@ TEST(JpegGolden, Subsampled420Noise) {
 TEST(JpegGolden, LowQuality444Noise) {
   const auto jfif = encode(noise_image(14, 50, 34), EncoderConfig{30});
   expect_golden(jfif, {1751, 0x378df016, 0xf3b21dea, 50, 34, 105, 1126});
+}
+
+TEST(JpegGolden, EncodedFrameHasNoSpareCapacity) {
+  // A camera sample holds its frame's buffer for the rest of its window.
+  const auto jfif = encode(noise_image(15, 320, 240), EncoderConfig{60});
+  EXPECT_GT(jfif.size(), 0u);
+  EXPECT_EQ(jfif.capacity(), jfif.size());
 }
 
 // ------------------------------------------------- reference kernels ----

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
+#include "check/check.h"
 #include "codecs/jpeg/jpeg_decoder.h"
 #include "dsp/peak_detect.h"
 #include "dsp/sta_lta.h"
@@ -74,6 +78,75 @@ TEST(PulseSignal, BeatRateMatchesBpm) {
   // 90 bpm over 10 s ⇒ ~15 beats.
   EXPECT_NEAR(static_cast<double>(peaks.size()), 15.0, 2.0);
 }
+
+// The pulse model as it was before the beat cursor: every sample rescans
+// every beat since t = 0. Same arithmetic and the same random draws, in the
+// same order.
+class RescanPulse {
+ public:
+  RescanPulse(PulseSignal::Config cfg, sim::Rng rng) : cfg_{cfg}, rng_{rng} {}
+
+  double generate(double ts) {
+    while (beats_.back() < ts + 2.0) {
+      const double period = 60.0 / cfg_.bpm;
+      double rr = period * (1.0 + cfg_.rr_jitter * rng_.uniform(-1.0, 1.0));
+      if (cfg_.irregular_prob > 0.0 && rng_.bernoulli(cfg_.irregular_prob)) {
+        rr *= rng_.bernoulli(0.5) ? 0.55 : 1.6;
+      }
+      beats_.push_back(beats_.back() + rr);
+    }
+    double v = 0.0;
+    for (double tb : beats_) {
+      const double dt = ts - tb;
+      if (dt < -0.5 || dt > 0.8) continue;
+      v += 1.2 * std::exp(-dt * dt / (2 * 0.008 * 0.008));
+      v += 0.15 * std::exp(-(dt - 0.18) * (dt - 0.18) / (2 * 0.045 * 0.045));
+      v -= 0.08 * std::exp(-(dt + 0.05) * (dt + 0.05) / (2 * 0.012 * 0.012));
+    }
+    return v + cfg_.noise * rng_.normal();
+  }
+
+ private:
+  PulseSignal::Config cfg_;
+  sim::Rng rng_;
+  std::vector<double> beats_{0.35};
+};
+
+TEST(PulseSignal, BeatCursorMatchesFullRescanBitForBit) {
+  PulseSignal::Config cfg;
+  cfg.rr_jitter = 0.08;
+  cfg.irregular_prob = 0.1;  // premature beats and pauses
+  PulseSignal gen{cfg, sim::Rng{21}};
+  RescanPulse oracle{cfg, sim::Rng{21}};
+
+  // 650 simulated seconds at 250 Hz, then a jump back to t = 100 s (the
+  // cursor restarts) and 20 s more.
+  std::vector<SimTime> times;
+  for (int i = 0; i < 650 * 250; ++i) times.push_back(SimTime::origin() + Duration::from_ms(4 * i));
+  for (int i = 0; i < 20 * 250; ++i) {
+    times.push_back(SimTime::origin() + Duration::sec(100) + Duration::from_ms(4 * i));
+  }
+  std::size_t mismatches = 0;
+  std::size_t first_mismatch = times.size();
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    Sample s;
+    gen.generate(times[i], s);
+    const double want = oracle.generate(times[i].to_seconds());
+    if (std::bit_cast<std::uint64_t>(s.channels.at(0)) != std::bit_cast<std::uint64_t>(want)) {
+      if (mismatches++ == 0) first_mismatch = i;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first at sample " << first_mismatch;
+}
+
+#if IOTSIM_CHECKS_ENABLED
+TEST(PulseSignal, RejectsJitterThatCouldReorderBeats) {
+  check::ScopedFailureHandler guard{check::throwing_handler};
+  PulseSignal::Config cfg;
+  cfg.rr_jitter = 1.0;  // an RR interval could reach zero
+  EXPECT_THROW((PulseSignal{cfg, sim::Rng{1}}), check::CheckFailure);
+}
+#endif
 
 TEST(EnvironmentSignal, StaysWithinBounds) {
   EnvironmentSignal::Config cfg;
