@@ -18,13 +18,13 @@
 // read, one interrupt, one transfer; fan-out on the CPU side).
 #pragma once
 
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "apps/iot_app.h"
 #include "core/qos.h"
 #include "core/reports.h"
+#include "core/ring_fifo.h"
 #include "core/scheme.h"
 #include "env/fault_profile.h"
 #include "env/hub_environment.h"
@@ -91,7 +91,7 @@ struct SensorStream {
     /// marker to the subscribers.
     bool lost = false;
   };
-  std::deque<Pending> pending;
+  RingFifo<Pending> pending;
   /// Handshake back to the sampler: the MCU holds the value on the PIO bus
   /// and waits until the CPU has picked it up (§II-A step 1 / Fig. 4's
   /// MCU-wait energy).

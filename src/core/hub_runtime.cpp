@@ -286,8 +286,7 @@ Task<void> HubRuntime::stream_cpu_handler(SensorStream* st) {
                  "hub '%s' sensor '%s': IRQ dispatched with no pending sample at t=%s",
                  cfg_.name.c_str(), st->sensor->spec().id.c_str(),
                  sim_.now().to_string().c_str());
-    SensorStream::Pending p = std::move(st->pending.front());
-    st->pending.pop_front();
+    SensorStream::Pending p = st->pending.pop_front();
 
     if (p.lost) {
       // Lost marker: no value is held on the bus — skip the transfer (the

@@ -86,31 +86,48 @@ void validate_app_list(const std::vector<apps::AppId>& ids, const std::string& f
   }
 }
 
-void validate_fault_prob(double prob, const std::string& field,
+// validate() runs once per scenario of a sweep, so these build a field's
+// path (prefix + field) only for a value that fails.
+void validate_fault_prob(double prob, const std::string& prefix, const char* field,
                          std::vector<ScenarioError>& errors) {
   if (prob < 0.0 || prob > 1.0 || !std::isfinite(prob)) {
     errors.push_back(
-        {field, "must be a probability in [0, 1] (got " + std::to_string(prob) + ")"});
+        {prefix + field, "must be a probability in [0, 1] (got " + std::to_string(prob) + ")"});
   }
+}
+
+void validate_positive_rate(double rate, const std::string& prefix, const char* field,
+                            std::vector<ScenarioError>& errors) {
+  if (!(rate > 0.0) || !std::isfinite(rate)) {
+    errors.push_back(
+        {prefix + field, "must be a positive finite rate (got " + std::to_string(rate) + ")"});
+  }
+}
+
+void validate_world(const sensors::WorldConfig& w, const std::string& prefix,
+                    std::vector<ScenarioError>& errors) {
+  validate_fault_prob(w.sensor_fault_prob, prefix, "sensor_fault_prob", errors);
+  validate_positive_rate(w.heart_bpm, prefix, "heart_bpm", errors);
+  validate_fault_prob(w.heart_irregular_prob, prefix, "heart_irregular_prob", errors);
+  validate_positive_rate(w.walking_cadence_hz, prefix, "walking_cadence_hz", errors);
 }
 
 void validate_environment(const env::EnvironmentConfig& e, const std::string& prefix,
                           std::vector<ScenarioError>& errors) {
   const auto& f = e.faults;
-  validate_fault_prob(f.fault_prob, prefix + "faults.fault_prob", errors);
-  validate_fault_prob(f.burst_enter_prob, prefix + "faults.burst_enter_prob", errors);
-  validate_fault_prob(f.burst_exit_prob, prefix + "faults.burst_exit_prob", errors);
-  validate_fault_prob(f.good_fault_prob, prefix + "faults.good_fault_prob", errors);
-  validate_fault_prob(f.burst_fault_prob, prefix + "faults.burst_fault_prob", errors);
-  validate_fault_prob(f.degrade_cap, prefix + "faults.degrade_cap", errors);
+  validate_fault_prob(f.fault_prob, prefix, "faults.fault_prob", errors);
+  validate_fault_prob(f.burst_enter_prob, prefix, "faults.burst_enter_prob", errors);
+  validate_fault_prob(f.burst_exit_prob, prefix, "faults.burst_exit_prob", errors);
+  validate_fault_prob(f.good_fault_prob, prefix, "faults.good_fault_prob", errors);
+  validate_fault_prob(f.burst_fault_prob, prefix, "faults.burst_fault_prob", errors);
+  validate_fault_prob(f.degrade_cap, prefix, "faults.degrade_cap", errors);
   if (f.degrade_per_hour < 0.0 || !std::isfinite(f.degrade_per_hour)) {
     errors.push_back({prefix + "faults.degrade_per_hour",
                       "must be a non-negative finite rate (got " +
                           std::to_string(f.degrade_per_hour) + ")"});
   }
 
-  validate_fault_prob(e.crash.crash_prob_per_window, prefix + "crash.crash_prob_per_window",
-                      errors);
+  validate_fault_prob(e.crash.crash_prob_per_window, prefix, "crash.crash_prob_per_window", errors);
   if (e.crash.reboot_windows < 1) {
     errors.push_back({prefix + "crash.reboot_windows",
                       "must be >= 1 (got " + std::to_string(e.crash.reboot_windows) + ")"});
@@ -132,7 +149,7 @@ void validate_environment(const env::EnvironmentConfig& e, const std::string& pr
       errors.push_back({prefix + "power.initial_soc",
                         "must be in (0, 1] (got " + std::to_string(p.initial_soc) + ")"});
     }
-    validate_fault_prob(p.resume_soc, prefix + "power.resume_soc", errors);
+    validate_fault_prob(p.resume_soc, prefix, "power.resume_soc", errors);
   }
   const auto& h = p.harvest;
   if (h.peak_w < 0.0 || !std::isfinite(h.peak_w)) {
@@ -173,10 +190,7 @@ std::vector<ScenarioError> Scenario::validate() const {
         errors.push_back(
             {prefix + "count", "must be >= 1 (got " + std::to_string(inst.count) + ")"});
       }
-      if (inst.world) {
-        validate_fault_prob(inst.world->sensor_fault_prob,
-                            prefix + "world.sensor_fault_prob", errors);
-      }
+      if (inst.world) validate_world(*inst.world, prefix + "world.", errors);
       if (inst.environment) {
         validate_environment(*inst.environment, prefix + "environment.", errors);
       }
@@ -197,7 +211,7 @@ std::vector<ScenarioError> Scenario::validate() const {
                       "must be a positive finite factor (got " +
                           std::to_string(mcu_speed_factor) + ")"});
   }
-  validate_fault_prob(world.sensor_fault_prob, "world.sensor_fault_prob", errors);
+  validate_world(world, "world.", errors);
   if (environment) validate_environment(*environment, "environment.", errors);
 
   if (network) {

@@ -1,9 +1,11 @@
-// A bucketed calendar queue (Brown 1988) for fleet-scale event populations.
+// A bucketed calendar queue (Brown 1988) for dense scheduler populations.
 //
-// Events hash into time buckets of fixed width; the pop scan walks buckets
-// in calendar order, so under a dense, bounded-horizon population — exactly
-// what a 1k–10k-hub fleet produces — push and pop are amortised O(1)
-// instead of the binary heap's O(log n). Ordering stays EXACT: equal
+// Entries hash into time buckets of fixed width; the pop scan walks buckets
+// in calendar order, so under a dense, bounded-horizon population push and
+// pop are amortised O(1) instead of the binary heap's O(log n). Under
+// EventQueue an entry is one distinct pending time (its events wait on a
+// chain in the queue), so a fleet shard's calendar holds a few hundred
+// entries, not its thousands of events. Ordering stays EXACT: equal
 // timestamps always land in the same bucket and each bucket is a (time,
 // seq) min-heap, so the pop sequence is identical to BinaryHeapScheduler's
 // (fuzz-checked in tests/sim/test_scheduler.cpp).

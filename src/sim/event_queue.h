@@ -3,14 +3,24 @@
 // Events at equal timestamps fire in insertion order (FIFO tie-break), which
 // makes multi-component simulations reproducible run to run.
 //
-// Ordering is delegated to a pluggable sim::Scheduler: a binary heap by
-// default, migrating automatically to a bucketed CalendarQueue once the
-// live population crosses kCalendarSwitchThreshold (fleet pressure). Both
-// yield the identical pop sequence, so the switch never changes results.
+// The queue orders distinct pending timestamps, not single events. Hubs
+// sample at fixed rates, so most events land on a time that already has a
+// pending event; every event at one time sits on that time's FIFO chain, a
+// singly linked list through the callback slab. A flat open-addressed index
+// finds the chain of a pending time, and a pluggable sim::Scheduler orders
+// one entry per distinct time: a binary heap by default, migrating
+// automatically to a bucketed CalendarQueue once the live event population
+// crosses kCalendarSwitchThreshold (fleet pressure). Both yield the
+// identical pop sequence, so the switch never changes results.
 //
-// Callbacks live in a slab of slots reused through a free list; each
-// scheduler entry carries its slot index, so reaching an event's callback
-// is an index, not a lookup, and a callback is stored inline without
+// The chain being drained is held outside the scheduler and the index, so
+// a push at the current time is an O(1) append and a pop from it is an
+// unlink. An empty queue starts the current chain at the time of its first
+// push; a later push earlier than that chain puts it back into the index
+// and starts a new current chain.
+//
+// Callbacks live in a slab of slots reused through a free list threaded
+// through the same `next` links, and a callback is stored inline without
 // allocating.
 #pragma once
 
@@ -79,13 +89,14 @@ class EventQueue {
   /// Schedules `cb` to run at absolute time `when`.
   void schedule(SimTime when, Callback cb);
 
-  [[nodiscard]] bool empty() const { return impl_->empty(); }
-  [[nodiscard]] std::size_t size() const { return impl_->size(); }
+  [[nodiscard]] bool empty() const { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const { return count_; }
   /// High-water mark of the pending event population.
   [[nodiscard]] std::size_t peak_size() const { return peak_count_; }
 
   /// Time of the earliest pending event; SimTime::infinite() when empty.
   [[nodiscard]] SimTime next_time() {
+    if (current_.head != kNil) return current_time_;
     return impl_->empty() ? SimTime::infinite() : impl_->peek().time;
   }
 
@@ -105,17 +116,69 @@ class EventQueue {
   void force_scheduler(SchedulerKind kind);
 
  private:
+  static constexpr std::uint32_t kNil = 0xFFFF'FFFF;
+
+  /// One callback and the next slot on its chain (or on the free list).
+  struct Slot {
+    Callback callback;
+    std::uint32_t next = kNil;
+  };
+
+  /// The FIFO of events at one time: first and last slot. `head == kNil`
+  /// is the empty chain, and `tail` is then meaningless.
+  struct Chain {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  /// Open-addressed map (linear probing, backward-shift erase) from a time
+  /// that has a chain in the scheduler to that chain.
+  class TimeIndex {
+   public:
+    /// The chain parked at `t`; a new empty one (and `added` set) if none.
+    /// The reference lasts until the next find_or_add or take.
+    Chain& find_or_add(SimTime t, bool& added);
+    /// Removes `t`'s entry and returns its chain. Precondition: present.
+    Chain take(SimTime t);
+    void clear();
+
+   private:
+    struct Entry {
+      std::int64_t time_ns = kEmpty;  // kEmpty marks a free cell
+      Chain chain;
+    };
+    static constexpr std::int64_t kEmpty = -1;  // event times are >= 0
+
+    [[nodiscard]] std::size_t home(std::int64_t time_ns) const;
+    void grow();
+
+    std::vector<Entry> cells_;  // power-of-two size, or empty
+    std::size_t count_ = 0;
+    int shift_ = 64;  // 64 - log2(cells_.size())
+  };
+
+  /// Takes a free slot (or a new one) and stores `cb` in it, unlinked.
+  std::uint32_t take_slot(const Callback& cb);
+  /// Appends `slot` to `chain`.
+  void append(Chain& chain, std::uint32_t slot);
+  /// The parked chain at `t`, parking an empty one in the index and the
+  /// scheduler if `t` has none yet.
+  Chain& chain_at(SimTime t);
   /// Moves every pending entry onto a scheduler of `kind`.
   void migrate_to(SchedulerKind kind);
 
+  // One entry per distinct pending time other than current_time_.
   std::unique_ptr<Scheduler> impl_;
+  TimeIndex index_;
   bool pinned_ = false;  // force_scheduler() disables auto-migration
-  // Callbacks live beside the scheduler so SchedEntry stays trivially
-  // movable; an entry's slot stays occupied until the entry leaves the
-  // scheduler, so a slot is never referenced by two entries.
-  std::vector<Callback> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  std::uint64_t next_seq_ = 1;
+  // The chain being drained. Its time is below every time in the scheduler,
+  // which never holds current_time_ itself; it may be empty.
+  SimTime current_time_ = SimTime::origin();
+  Chain current_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNil;  // free slots, linked through Slot::next
+  std::uint64_t next_seq_ = 1;      // SchedEntry::seq of the next parked chain
+  std::size_t count_ = 0;
   std::size_t peak_count_ = 0;
   // High-water mark of popped event times; pop() checks monotonicity
   // against it (IOTSIM_CHECK) — the kernel's core ordering invariant.

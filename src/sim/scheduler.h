@@ -1,14 +1,18 @@
-// The pending-event ordering structure behind EventQueue, as an interface.
+// The ordering structure behind EventQueue, as an interface.
 //
 // A Scheduler holds (time, seq) entries and yields them in exact
-// min-(time, seq) order — the kernel's determinism contract. Two
+// min-(time, seq) order — the kernel's determinism contract. EventQueue
+// pushes one entry per distinct pending time: the events sharing a time
+// wait on that time's FIFO chain inside the queue, so the kernel never
+// hands a scheduler a tie, and a fleet shard's scheduler holds a few
+// hundred times while its queue holds thousands of events. Two
 // implementations exist:
 //   * BinaryHeapScheduler — std::priority_queue; O(log n) push/pop, cheap at
 //     small queue depths. The default.
 //   * CalendarQueue (calendar_queue.h) — bucketed by time; amortised O(1)
-//     push/pop under the dense, bounded-horizon event populations a large
-//     hub fleet produces. EventQueue migrates to it automatically when the
-//     live event count crosses EventQueue::kCalendarSwitchThreshold.
+//     push/pop under dense, bounded-horizon populations. EventQueue
+//     migrates to it automatically when its live event count (not its
+//     count of distinct times) crosses EventQueue::kCalendarSwitchThreshold.
 //
 // Both yield the identical pop sequence for the identical push/pop
 // history (fuzz-checked in tests/sim/test_scheduler.cpp), so which one is
@@ -40,13 +44,12 @@ enum class SchedulerKind : std::uint8_t {
 }
 
 /// One pending entry. `seq` is the insertion sequence number, which breaks
-/// timestamp ties FIFO — the kernel's reproducibility rule. `slot` names
-/// the EventQueue slab slot holding the callback; it plays no part in the
-/// order (seq is unique).
+/// timestamp ties FIFO. EventQueue pushes one entry per distinct pending
+/// time (its events wait on that time's chain), so there the time alone
+/// orders and `seq` only counts chains.
 struct SchedEntry {
   SimTime time;
   std::uint64_t seq = 0;
-  std::uint32_t slot = 0;
 
   // std::greater on SchedEntry gives a min-heap on (time, seq).
   [[nodiscard]] bool operator>(const SchedEntry& o) const {

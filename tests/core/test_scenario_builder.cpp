@@ -1,6 +1,11 @@
 // ScenarioBuilder fluency and Scenario::validate() structured errors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <string>
+
+#include "check/check.h"
 #include "core/scenario_runner.h"
 #include "core/sweep.h"
 
@@ -109,6 +114,73 @@ TEST(ScenarioValidate, FaultProbabilityOutOfRange) {
                           .validate();
   ASSERT_EQ(errors.size(), 1u);
   EXPECT_EQ(errors[0].field, "world.sensor_fault_prob");
+}
+
+std::vector<std::string> fields(const std::vector<ScenarioError>& errors) {
+  std::vector<std::string> out;
+  for (const auto& e : errors) out.push_back(e.field);
+  return out;
+}
+
+TEST(ScenarioValidate, WorldRatesMustBePositiveAndFinite) {
+  sensors::WorldConfig world;
+  world.heart_bpm = -60.0;
+  world.heart_irregular_prob = 1.5;
+  world.walking_cadence_hz = std::numeric_limits<double>::quiet_NaN();
+  const auto errors =
+      Scenario::builder().apps({AppId::kA8Heartbeat}).world(world).build().validate();
+  EXPECT_EQ(fields(errors), (std::vector<std::string>{"world.heart_bpm",
+                                                      "world.heart_irregular_prob",
+                                                      "world.walking_cadence_hz"}));
+
+  for (const double bad : {0.0, std::numeric_limits<double>::infinity()}) {
+    sensors::WorldConfig w;
+    w.heart_bpm = bad;
+    w.walking_cadence_hz = bad;
+    w.heart_irregular_prob = -0.1;
+    EXPECT_EQ(fields(Scenario::builder().apps({AppId::kA2StepCounter}).world(w).build().validate())
+                  .size(),
+              3u)
+        << bad;
+  }
+}
+
+TEST(ScenarioValidate, HubWorldOverrideIsCheckedWithItsPath) {
+  HubInstance bad;
+  bad.app_ids = {AppId::kA8Heartbeat};
+  bad.world = sensors::WorldConfig{};
+  bad.world->heart_bpm = -60.0;
+  const auto errors = Scenario::builder()
+                          .add_hub(hw::default_hub_spec(), {AppId::kA2StepCounter})
+                          .add_hub(bad)
+                          .build()
+                          .validate();
+  EXPECT_EQ(fields(errors), std::vector<std::string>{"hubs[1].world.heart_bpm"});
+}
+
+TEST(ScenarioValidate, NegativeHeartRateNeverReachesPulseSignal) {
+  // PulseSignal would append beats with negative intervals without end; a
+  // build with IOTSIM_CHECKS stops that in its constructor, which throws
+  // here. The run must stop at validation instead, in every build.
+  check::ScopedFailureHandler guard{check::throwing_handler};
+  sensors::WorldConfig world;
+  world.heart_bpm = -60.0;
+  HubInstance hub;
+  hub.app_ids = {AppId::kA8Heartbeat};
+  hub.world = world;
+  const Scenario single =
+      Scenario::builder().apps({AppId::kA8Heartbeat}).world(world).windows(1).build();
+  const Scenario fleet = Scenario::builder().add_hub(hub).windows(1).build();
+  for (const Scenario* sc : {&single, &fleet}) {
+    // Guard: never start a run whose bad rate validation missed.
+    ASSERT_EQ(sc->validate().size(), 1u);
+    const ScenarioResult r = run_scenario(*sc);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.apps.size(), 0u);
+    EXPECT_EQ(r.energy.kernel().events_dispatched, 0u);
+    ASSERT_EQ(r.errors.size(), 1u);
+    EXPECT_NE(r.errors[0].field.find("world.heart_bpm"), std::string::npos);
+  }
 }
 
 TEST(ScenarioValidate, MultipleErrorsAccumulate) {
