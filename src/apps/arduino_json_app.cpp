@@ -26,10 +26,11 @@ class ArduinoJsonApp final : public IotApp {
 
     auto add_series = [&](const char* key, sensors::SensorId id) {
       codecs::json::Value series;
-      for (const auto& s : in.of(id)) {
+      const SampleColumn& readings = in.of(id);
+      for (std::size_t i = 0; i < readings.size(); ++i) {
         codecs::json::Value point;
-        point["t"] = codecs::json::Value{s.time.to_seconds()};
-        point["v"] = codecs::json::Value{s.channels[0]};
+        point["t"] = codecs::json::Value{readings.time(i).to_seconds()};
+        point["v"] = codecs::json::Value{readings.value(i)};
         series.push_back(std::move(point));
       }
       doc[key] = std::move(series);

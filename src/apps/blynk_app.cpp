@@ -54,15 +54,15 @@ class BlynkApp final : public IotApp {
       if (samples.empty()) continue;
       // Blynk sends "vw <pin> <value>" bodies, NUL-separated.
       std::ostringstream body;
-      body << "vw" << '\0' << pin.vpin << '\0' << samples.back().channels[0];
+      body << "vw" << '\0' << pin.vpin << '\0' << samples.value(samples.size() - 1);
       frame_message(kBlynkHardware, body.str());
     }
 
     // Camera frame rides as a binary property update.
     const auto& frames = in.of(sensors::SensorId::kS10Camera);
     std::size_t image_bytes = 0;
-    if (!frames.empty() && !frames.back().blob.empty()) {
-      const auto& blob = frames.back().blob;
+    if (!frames.empty() && !frames.blob(frames.size() - 1).empty()) {
+      const auto& blob = frames.blob(frames.size() - 1);
       image_bytes = blob.size();
       std::string body{blob.begin(),
                        blob.begin() + static_cast<std::ptrdiff_t>(

@@ -40,7 +40,7 @@ class CoapServerApp final : public IotApp {
       const auto& samples = in.of(ch.sensor);
       if (samples.empty()) continue;
       double* values = ws.alloc<double>(samples.size());
-      for (std::size_t i = 0; i < samples.size(); ++i) values[i] = samples[i].channels[0];
+      for (std::size_t i = 0; i < samples.size(); ++i) values[i] = samples.value(i);
       const dsp::Stats stats = dsp::compute_stats({values, samples.size()});
 
       codecs::json::Value body;

@@ -36,8 +36,8 @@ class DropboxApp final : public IotApp {
         file[w++] = static_cast<std::uint8_t>((bits >> shift) & 0xFF);
       }
     };
-    for (const auto& s : sound) append(s.channels[0]);
-    for (const auto& s : distance) append(s.channels[0]);
+    for (std::size_t i = 0; i < sound.size(); ++i) append(sound.value(i));
+    for (std::size_t i = 0; i < distance.size(); ++i) append(distance.value(i));
 
     // Content-defined chunking: boundary when the rolling checksum's low
     // bits are zero (mask picks the expected chunk size).

@@ -33,7 +33,7 @@ class EarthquakeApp final : public IotApp {
     const double fs = sensors::spec_of(sensors::SensorId::kS4Accelerometer).qos_rate_hz;
     dsp::Biquad hp = dsp::Biquad::high_pass(fs, 12.0);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& ch = samples[i].channels;
+      const auto ch = samples.channels(i);
       const double magnitude = std::sqrt(ch[0] * ch[0] + ch[1] * ch[1] + ch[2] * ch[2]);
       detrended[i] = hp.process(magnitude);
     }

@@ -20,15 +20,15 @@ class FingerprintApp final : public IotApp {
     trace::StackFrame frame{ws.profiler(), spec().fig6_stack_bytes};
     WindowOutput out;
     const auto& scans = in.of(sensors::SensorId::kS3Fingerprint);
-    if (scans.empty() || scans.back().blob.empty()) {
+    if (scans.empty() || scans.blob(scans.size() - 1).empty()) {
       out.summary = "no scan";
       return out;
     }
+    const auto& blob = scans.blob(scans.size() - 1);
 
-    auto* staged = ws.alloc<std::uint8_t>(scans.back().blob.size());
-    std::copy(scans.back().blob.begin(), scans.back().blob.end(), staged);
-    const auto tpl =
-        codecs::fingerprint::deserialize({staged, scans.back().blob.size()});
+    auto* staged = ws.alloc<std::uint8_t>(blob.size());
+    std::copy(blob.begin(), blob.end(), staged);
+    const auto tpl = codecs::fingerprint::deserialize({staged, blob.size()});
     if (!tpl.has_value()) {
       out.event = true;
       out.summary = "corrupt template";

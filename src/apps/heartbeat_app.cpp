@@ -36,8 +36,8 @@ class HeartbeatApp final : public IotApp {
       times[i] = tail_times_[i];
     }
     for (std::size_t i = 0; i < samples.size(); ++i) {
-      ecg[tail_values_.size() + i] = samples[i].channels[0];
-      times[tail_values_.size() + i] = samples[i].time.to_seconds();
+      ecg[tail_values_.size() + i] = samples.value(i);
+      times[tail_values_.size() + i] = samples.time(i).to_seconds();
     }
 
     dsp::PanTompkinsConfig cfg;
@@ -60,8 +60,8 @@ class HeartbeatApp final : public IotApp {
     tail_values_.clear();
     tail_times_.clear();
     for (std::size_t i = samples.size() - tail_n; i < samples.size(); ++i) {
-      tail_values_.push_back(samples[i].channels[0]);
-      tail_times_.push_back(samples[i].time.to_seconds());
+      tail_values_.push_back(samples.value(i));
+      tail_times_.push_back(samples.time(i).to_seconds());
     }
 
     double mean_rr = 0.0, rmssd = 0.0;

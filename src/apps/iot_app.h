@@ -7,28 +7,72 @@
 // against.
 #pragma once
 
-#include <map>
+#include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "apps/sample_column.h"
 #include "apps/workload_spec.h"
+#include "check/check.h"
 #include "sensors/sample.h"
 #include "sensors/sensor_catalog.h"
 #include "trace/memory_profiler.h"
 
 namespace iotsim::apps {
 
-struct WindowInput {
-  sim::SimTime window_start;
-  /// All samples collected during the window, per sensor.
-  std::map<sensors::SensorId, std::vector<sensors::Sample>> samples;
+/// One window of readings for one app: a column per sensor the app reads.
+/// A column's storage is allocated on its first reading, sized for a full
+/// window, and freed by `release()` once the kernel has run, so a run holds
+/// only the windows in flight.
+class WindowInput {
+ public:
+  WindowInput() = default;
+  /// A window of `sensors` (an app's `WorkloadSpec::sensor_ids`, which must
+  /// outlive the input) starting at `start`.
+  WindowInput(std::span<const sensors::SensorId> sensors, sim::SimTime start)
+      : window_start{start}, sensors_{sensors} {}
 
-  [[nodiscard]] const std::vector<sensors::Sample>& of(sensors::SensorId id) const {
-    static const std::vector<sensors::Sample> kEmpty;
-    auto it = samples.find(id);
-    return it == samples.end() ? kEmpty : it->second;
+  sim::SimTime window_start;
+
+  /// Appends a reading of sensor `id`, which must be one of the window's
+  /// sensors. A column's first reading reserves room for exactly one
+  /// window of that sensor's readings.
+  void add(sensors::SensorId id, sensors::Sample sample) {
+    const std::size_t i = position(id);
+    IOTSIM_CHECK_LT(i, sensors_.size(), "reading of a sensor the window does not hold");
+    if (!columns_) columns_ = std::make_unique<SampleColumn[]>(sensors_.size());
+    SampleColumn& col = columns_[i];
+    if (col.empty()) {
+      col.reserve(static_cast<std::size_t>(sensors::spec_of(id).samples_per_window()),
+                  sample.channels.size());
+    }
+    col.add(std::move(sample));
   }
+
+  /// The readings of sensor `id`; empty when it has none (or after
+  /// `release()`).
+  [[nodiscard]] const SampleColumn& of(sensors::SensorId id) const {
+    static const SampleColumn kEmpty;
+    const std::size_t i = position(id);
+    return columns_ && i < sensors_.size() ? columns_[i] : kEmpty;
+  }
+
+  [[nodiscard]] std::span<const sensors::SensorId> sensors() const { return sensors_; }
+
+  /// Frees every column; `window_start` stays.
+  void release() { columns_.reset(); }
+
+ private:
+  /// Index of `id` among the window's sensors; their count when absent.
+  [[nodiscard]] std::size_t position(sensors::SensorId id) const {
+    return static_cast<std::size_t>(std::ranges::find(sensors_, id) - sensors_.begin());
+  }
+
+  std::span<const sensors::SensorId> sensors_;
+  std::unique_ptr<SampleColumn[]> columns_;  // null until the first reading
 };
 
 struct WindowOutput {

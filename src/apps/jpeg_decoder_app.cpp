@@ -18,11 +18,11 @@ class JpegDecoderApp final : public IotApp {
     trace::StackFrame frame{ws.profiler(), spec().fig6_stack_bytes};
     WindowOutput out;
     const auto& frames = in.of(sensors::SensorId::kS10Camera);
-    if (frames.empty() || frames.back().blob.empty()) {
+    if (frames.empty() || frames.blob(frames.size() - 1).empty()) {
       out.summary = "no frame";
       return out;
     }
-    const auto& blob = frames.back().blob;
+    const auto& blob = frames.blob(frames.size() - 1);
 
     // Stage the compressed stream in a profiled buffer (the app's input
     // buffer), then decode.

@@ -42,7 +42,7 @@ class M2xApp final : public IotApp {
       double* values = ws.alloc<double>(samples.size());
       for (std::size_t i = 0; i < samples.size(); ++i) {
         // Multi-channel sensors contribute their magnitude-like first value.
-        values[i] = samples[i].channels[0];
+        values[i] = samples.value(i);
       }
       const dsp::Stats stats = dsp::compute_stats({values, samples.size()});
 
@@ -61,8 +61,8 @@ class M2xApp final : public IotApp {
     if (!accel.empty()) {
       auto* raw = ws.alloc<std::uint8_t>(accel.size() * 12);
       std::size_t w = 0;
-      for (const auto& s : accel) {
-        for (double ch : s.channels) {
+      for (std::size_t i = 0; i < accel.size(); ++i) {
+        for (double ch : accel.channels(i)) {
           const auto v = static_cast<std::int32_t>(ch * 1000.0);
           raw[w++] = static_cast<std::uint8_t>(v >> 24);
           raw[w++] = static_cast<std::uint8_t>(v >> 16);

@@ -58,7 +58,7 @@ class SpeechToTextApp final : public IotApp {
     double* audio = ws.alloc<double>(n);
     double energy = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      audio[i] = samples[i].channels[0];
+      audio[i] = samples.value(i);
       energy += audio[i] * audio[i];
     }
     energy /= static_cast<double>(n);

@@ -28,7 +28,7 @@ class StepCounterApp final : public IotApp {
     double* magnitude = ws.alloc<double>(n);
     double* filtered = ws.alloc<double>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      const auto& ch = samples[i].channels;
+      const auto ch = samples.channels(i);
       magnitude[i] = std::sqrt(ch[0] * ch[0] + ch[1] * ch[1] + ch[2] * ch[2]);
     }
 

@@ -12,9 +12,8 @@ using sim::Task;
 
 std::size_t WindowCollector::total_wire_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& [id, samples] : input.samples) {
-    const auto declared = sensors::spec_of(id).sample_bytes;
-    for (const auto& s : samples) bytes += s.wire_bytes(declared);
+  for (sensors::SensorId id : input.sensors()) {
+    bytes += input.of(id).wire_bytes(sensors::spec_of(id).sample_bytes);
   }
   return bytes;
 }
@@ -37,7 +36,7 @@ AppExecutor::AppExecutor(sim::Simulator& sim, hw::IotHub& hub, apps::AppId id, A
   for (int w = 0; w < windows; ++w) {
     auto col = std::make_unique<WindowCollector>();
     col->expected = expected;
-    col->input.window_start = sim::SimTime::origin() + spec_.window * w;
+    col->input = apps::WindowInput{spec_.sensor_ids, sim::SimTime::origin() + spec_.window * w};
     collectors_.push_back(std::move(col));
   }
 }
@@ -55,12 +54,14 @@ void AppExecutor::add_busy(Routine r, Duration d) {
 
 apps::WindowOutput AppExecutor::run_kernel(int w) {
   trace::Workspace ws{memory_};
-  apps::WindowOutput out = app_->process_window(collector(w).input, ws);
+  apps::WindowInput& input = collector(w).input;
+  apps::WindowOutput out = app_->process_window(input, ws);
+  input.release();  // the window's readings are spent
   mips_.add(spec_.code, static_cast<std::uint64_t>(spec_.fig6_mips * 1e6));
 
   auto& rec = records_[static_cast<std::size_t>(w)];
   rec.window = w;
-  rec.started = collector(w).input.window_start;
+  rec.started = input.window_start;
   rec.summary = out.summary;
   rec.metric = out.metric;
   rec.event = out.event;
@@ -74,9 +75,11 @@ void AppExecutor::record_completion(int w) {
 }
 
 void AppExecutor::record_lost_window(int w) {
+  apps::WindowInput& input = collector(w).input;
+  input.release();  // no kernel reads a lost window's readings
   auto& rec = records_[static_cast<std::size_t>(w)];
   rec.window = w;
-  rec.started = collector(w).input.window_start;
+  rec.started = input.window_start;
   rec.completed = sim_.now();
   rec.summary = "window lost: hub down";
   rec.metric = 0.0;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "apps/iot_app.h"
+#include "check/check.h"
 #include "core/qos.h"
 #include "core/reports.h"
 #include "core/ring_fifo.h"
@@ -39,7 +40,9 @@ namespace iotsim::core {
 
 class AppExecutor;
 
-/// Per-app, per-window sample barrier.
+/// Per-app, per-window sample barrier. The readings are freed once the
+/// window's kernel has run or the window was recorded lost; the counters
+/// stay for the barrier and the crash accounting.
 struct WindowCollector {
   apps::WindowInput input;
   std::size_t expected = 0;
@@ -49,7 +52,8 @@ struct WindowCollector {
   sim::Signal progress;  // notified on every delivered sample
 
   void add(sensors::SensorId id, sensors::Sample sample) {
-    input.samples[id].push_back(std::move(sample));
+    IOTSIM_CHECK_LT(received, expected, "reading delivered to a full window");
+    input.add(id, std::move(sample));
     ++received;
     progress.notify_all();
     if (received == expected) done.notify_all();
@@ -59,6 +63,7 @@ struct WindowCollector {
   /// still counts towards expected — without feeding the kernel a phantom
   /// reading.
   void add_lost() {
+    IOTSIM_CHECK_LT(received, expected, "lost slot delivered to a full window");
     ++lost;
     ++received;
     progress.notify_all();
@@ -145,7 +150,8 @@ class AppExecutor {
   [[nodiscard]] sim::Task<void> batched_mcu_window(int w);
   [[nodiscard]] sim::Task<void> offloaded_mcu_window(int w);
 
-  /// Runs the host kernel, fills the WindowRecord, returns the output.
+  /// Runs the host kernel, frees the window's readings, fills the
+  /// WindowRecord, returns the output.
   apps::WindowOutput run_kernel(int w);
 
   /// True when the hub's environment marked window `w` lost (crash or
@@ -155,6 +161,7 @@ class AppExecutor {
   }
   /// Records a skipped window: the record survives (metric 0, lost marker)
   /// but no QoS window is booked — availability, not latency, captures it.
+  /// Frees the window's readings.
   void record_lost_window(int w);
 
   /// Executes `total` of kernel time in preemptible slices, so interrupt

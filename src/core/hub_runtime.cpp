@@ -343,9 +343,10 @@ Task<void> HubRuntime::env_supervisor() {
     if (const auto offset = env_->crash_at(w)) {
       co_await sim::Delay{*offset};
       // Whatever the MCU buffered for this window but has not flushed is
-      // gone (the batching scheme's exposure to crashes). The collectors
-      // themselves stay intact — the window is marked lost, so no kernel
-      // ever reads them — we only count the wiped samples.
+      // gone (the batching scheme's exposure to crashes). The window is
+      // marked lost, so no kernel reads the collectors (the executors free
+      // their readings when they record the loss); only the wiped samples
+      // are counted here.
       std::uint64_t buffered = 0;
       for (auto& exec : executors_) {
         if (exec.mode() != AppMode::kPerSample) {
@@ -377,7 +378,9 @@ Task<void> HubRuntime::env_supervisor() {
 HubResult HubRuntime::harvest(const energy::EnergyAccountant& acct, sim::Duration span) const {
   HubResult hr;
   hr.name = cfg_.name;
-  hr.energy = energy::EnergyReport::from_accountant(acct, span, hub_->component_prefix());
+  // The hub's components registered contiguously at construction; on the
+  // single-hub path they are the whole ledger.
+  hr.energy = energy::EnergyReport::from_accountant(acct, span, comp_begin_, comp_end_);
   hr.plan = plan_;
   hr.notes = notes_;
   hr.interrupts_raised = hub_->irq().raised_count();

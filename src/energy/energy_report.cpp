@@ -6,18 +6,14 @@
 
 namespace iotsim::energy {
 
-/// Accumulates one ledger's components (in registration order) into `r`.
-/// This loop body — and its iteration order — IS the fleet float-summation
-/// contract: from_accountants() replays it per shard ledger so sharded runs
-/// reproduce a shared ledger's sums bit for bit.
-void EnergyReport::accumulate(EnergyReport& r, const EnergyAccountant& acct,
-                              std::string_view component_prefix) {
-  for (ComponentId c = 0; c < acct.component_count(); ++c) {
+/// Accumulates the ledger's components [begin, end) (in registration order)
+/// into `r`. This loop body — and its iteration order — IS the fleet
+/// float-summation contract: from_accountants() replays it per shard ledger
+/// so sharded runs reproduce a shared ledger's sums bit for bit.
+void EnergyReport::accumulate(EnergyReport& r, const EnergyAccountant& acct, ComponentId begin,
+                              ComponentId end) {
+  for (ComponentId c = begin; c < end; ++c) {
     const std::string& name = acct.component_name(c);
-    if (!component_prefix.empty() &&
-        std::string_view{name}.substr(0, component_prefix.size()) != component_prefix) {
-      continue;
-    }
     auto& row = r.component_j_[name];
     for (Routine rt : kAllRoutines) {
       const double j = acct.joules(c, rt);
@@ -30,27 +26,37 @@ void EnergyReport::accumulate(EnergyReport& r, const EnergyAccountant& acct,
 }
 
 EnergyReport EnergyReport::from_accountant(const EnergyAccountant& acct, sim::Duration elapsed) {
-  return from_accountant(acct, elapsed, std::string_view{});
-}
-
-EnergyReport EnergyReport::from_accountant(const EnergyAccountant& acct, sim::Duration elapsed,
-                                           std::string_view component_prefix) {
   EnergyReport r;
   r.elapsed_ = elapsed;
-  accumulate(r, acct, component_prefix);
-  // Conservation: an unfiltered snapshot must carry exactly the ledger's
-  // total; a prefix-filtered one can only carry a subset of it.
+  accumulate(r, acct, 0, acct.component_count());
+  // Conservation: a whole-ledger snapshot carries exactly the ledger's total.
   const double total = r.total_joules();
   const double ledger = acct.total_joules();
   const double tol = 1e-9 * (std::abs(ledger) > 1.0 ? std::abs(ledger) : 1.0);
-  if (component_prefix.empty()) {
-    IOTSIM_CHECK_LE(std::abs(total - ledger), tol,
-                    "report total %.12g J diverges from ledger total %.12g J", total, ledger);
-  } else {
-    IOTSIM_CHECK_LE(total, ledger + tol, "scope '%.*s' reports %.12g J, more than ledger %.12g J",
-                    static_cast<int>(component_prefix.size()), component_prefix.data(), total,
-                    ledger);
-  }
+  IOTSIM_CHECK_LE(std::abs(total - ledger), tol,
+                  "report total %.12g J diverges from ledger total %.12g J", total, ledger);
+  return r;
+}
+
+EnergyReport EnergyReport::from_accountant(const EnergyAccountant& acct, sim::Duration elapsed,
+                                           ComponentId begin, ComponentId end) {
+  IOTSIM_CHECK(begin <= end && end <= acct.component_count(),
+               "ledger slice [%zu, %zu) outside %zu components", begin, end,
+               acct.component_count());
+  EnergyReport r;
+  r.elapsed_ = elapsed;
+  accumulate(r, acct, begin, end);
+#if IOTSIM_CHECKS_ENABLED
+  // Conservation: a slice can only carry a subset of the ledger's total.
+  // Summing the whole ledger costs O(components) per slice, so only builds
+  // with checks on pay it.
+  const double total = r.total_joules();
+  const double ledger = acct.total_joules();
+  const double tol = 1e-9 * (std::abs(ledger) > 1.0 ? std::abs(ledger) : 1.0);
+  IOTSIM_CHECK_LE(total, ledger + tol,
+                  "slice [%zu, %zu) reports %.12g J, more than ledger %.12g J", begin, end, total,
+                  ledger);
+#endif
   return r;
 }
 
@@ -60,7 +66,7 @@ EnergyReport EnergyReport::from_accountants(const std::vector<const EnergyAccoun
   r.elapsed_ = elapsed;
   double ledger = 0.0;
   for (const EnergyAccountant* acct : accts) {
-    accumulate(r, *acct, std::string_view{});
+    accumulate(r, *acct, 0, acct->component_count());
     ledger += acct->total_joules();
   }
   const double total = r.total_joules();

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "energy/energy_accountant.h"
@@ -78,12 +77,12 @@ class EnergyReport {
   /// ledger covers.
   static EnergyReport from_accountant(const EnergyAccountant& acct, sim::Duration elapsed);
 
-  /// Snapshots only the components whose name starts with `component_prefix`
-  /// — the per-hub slice of a fleet run's shared ledger (prefix "hub0/").
-  /// An empty prefix matches everything. The accounting invariant
-  /// (Σ routine == Σ component == ∫P dt) holds per slice by construction.
+  /// Snapshots only the components [begin, end) — one hub's slice of a
+  /// fleet run's shared ledger, which its components register contiguously.
+  /// The accounting invariant (Σ routine == Σ component == ∫P dt) holds per
+  /// slice by construction.
   static EnergyReport from_accountant(const EnergyAccountant& acct, sim::Duration elapsed,
-                                      std::string_view component_prefix);
+                                      ComponentId begin, ComponentId end);
 
   /// Snapshots several ledgers as one fleet report, iterating the ledgers
   /// in the order given. When shard s holds the fleet's hubs
@@ -135,10 +134,11 @@ class EnergyReport {
   /// no public mutator exposes (cache/result_codec.cpp).
   friend class iotsim::cache::ResultCodec;
 
-  /// Shared ledger-walk of from_accountant / from_accountants; its iteration
-  /// order is the fleet float-summation contract.
-  static void accumulate(EnergyReport& r, const EnergyAccountant& acct,
-                         std::string_view component_prefix);
+  /// Shared ledger-walk of from_accountant / from_accountants over the
+  /// components [begin, end); its iteration order is the fleet
+  /// float-summation contract.
+  static void accumulate(EnergyReport& r, const EnergyAccountant& acct, ComponentId begin,
+                         ComponentId end);
 
   std::array<double, kRoutineCount> routine_j_{};
   std::array<sim::Duration, kRoutineCount> busy_{};

@@ -33,9 +33,6 @@ class IotHub {
          std::string name = {});
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  /// "" for an unnamed hub, "<name>/" otherwise — every component this hub
-  /// registered starts with it (the per-hub slice key for energy reports).
-  [[nodiscard]] const std::string& component_prefix() const { return prefix_; }
   [[nodiscard]] const HubSpec& spec() const { return spec_; }
   [[nodiscard]] Cpu& cpu() { return cpu_; }
   [[nodiscard]] Mcu& mcu() { return mcu_; }

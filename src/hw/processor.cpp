@@ -27,6 +27,9 @@ Processor::Processor(sim::Simulator& sim, energy::EnergyAccountant& acct, std::s
            // Start as deep asleep as the spec allows: an idle hub sleeps.
            spec_.sleep_modes.empty() ? kWait : kFirstSleep + spec_.sleep_modes.size() - 1} {
   psm_.set_transition_table(build_transition_table());
+  for (std::size_t i = 0; i < breakevens_.size() && i < spec_.sleep_modes.size(); ++i) {
+    breakevens_[i] = spec_.sleep_modes[i].breakeven(spec_.active_w);
+  }
 }
 
 energy::TransitionTable Processor::build_transition_table() const {
@@ -159,7 +162,7 @@ SleepPolicy Processor::policy_for_gap(sim::Duration gap, SleepPolicy max_policy)
   const auto limit = std::min<std::size_t>(static_cast<std::size_t>(max_policy),
                                            spec_.sleep_modes.size());
   for (std::size_t i = 0; i < limit; ++i) {
-    if (gap >= spec_.sleep_modes[i].breakeven(spec_.active_w)) {
+    if (gap >= breakevens_[i]) {
       effective = static_cast<SleepPolicy>(i + 1);
     }
   }

@@ -169,6 +169,9 @@ class Processor {
   sim::Simulator& sim_;
   std::string name_;
   ProcessorSpec spec_;
+  // Break-even gap of each sleep mode a policy can reach, shallow to deep
+  // (computed once: spec_ never changes).
+  std::array<sim::Duration, kSleepPolicyCount - 1> breakevens_{};
   energy::PowerStateMachine psm_;
   sim::SimMutex exec_mutex_;
   int busy_depth_ = 0;

@@ -16,14 +16,13 @@ using sim::SimTime;
 /// Collects one window of samples for an app, window index `w`.
 WindowInput make_window(const WorkloadSpec& spec,
                         std::map<SensorId, std::unique_ptr<sensors::Sensor>>& sensors, int w) {
-  WindowInput in;
-  in.window_start = SimTime::origin() + spec.window * w;
+  WindowInput in{spec.sensor_ids, SimTime::origin() + spec.window * w};
   for (auto sid : spec.sensor_ids) {
     auto& sensor = sensors.at(sid);
     const int n = sensor->spec().samples_per_window();
     const Duration period = spec.window / n;
     for (int k = 0; k < n; ++k) {
-      in.samples[sid].push_back(sensor->read(in.window_start + period * k));
+      in.add(sid, sensor->read(in.window_start + period * k));
     }
   }
   return in;

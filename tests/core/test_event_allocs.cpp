@@ -58,15 +58,17 @@ Measured run_baseline(int windows) {
           result.energy.kernel().events_dispatched};
 }
 
-// Measured on this scenario: 0.0015 allocations per event (96 over 64,140
-// events), about 24 per window, all of them the window's sample buffers
-// growing; 0.0084 while the pending-sample FIFO was a std::deque (one
+// Measured on this scenario: 0.00094 allocations per event (60 over 64,140
+// events), 15 per window, three of them the window's sample columns (the
+// column array, then a time and a value buffer reserved for the full
+// window); 0.0015 while the window's samples sat in a vector that grew by
+// doubling; 0.0084 while the pending-sample FIFO was a std::deque (one
 // 504-byte node per nine samples at ~16 events a sample); 0.07 while every
 // sample allocated a channel vector; 1.51 when every notify built a
 // std::deque, every processor wait a std::list node and every when_all a
 // shared counter. One allocation per sample would put the count near 0.07
 // again, and one per nine samples near 0.008.
-constexpr double kMaxAllocationsPerEvent = 0.0022;
+constexpr double kMaxAllocationsPerEvent = 0.0014;
 
 TEST(EventPathAllocations, BaselineScenarioStaysUnderBound) {
   run_baseline(1);  // first-use statics allocate once; keep them out of both runs

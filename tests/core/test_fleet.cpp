@@ -2,8 +2,15 @@
 // result sections, seed derivation, count expansion, and fleet validation.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <string>
+
+#include "core/hub_runtime.h"
 #include "core/result_json.h"
 #include "core/scenario_runner.h"
+#include "energy/energy_accountant.h"
+#include "energy/energy_report.h"
+#include "sim/simulator.h"
 
 namespace iotsim::core {
 namespace {
@@ -233,6 +240,81 @@ TEST(FleetRun, ComponentsAreScopedByHubName) {
   ASSERT_EQ(fleet.hubs.size(), 2u);
   EXPECT_EQ(fleet.hubs[0].energy.by_component().count("hub0/cpu"), 1u);
   EXPECT_EQ(fleet.hubs[0].energy.by_component().count("hub1/cpu"), 0u);
+}
+
+/// The hubs of one shared ledger, run to the end. Hub i is named "hub<i>";
+/// an empty `scope` keeps the single-hub path's flat component names.
+struct LedgerFleet {
+  sim::Simulator sim;
+  energy::EnergyAccountant acct;
+  std::deque<HubRuntime> hubs;
+  sim::Duration span;
+
+  LedgerFleet(int count, bool scoped) {
+    for (int i = 0; i < count; ++i) {
+      HubRuntime::Config cfg;
+      cfg.name = "hub" + std::to_string(i);
+      cfg.component_scope = scoped ? cfg.name : "";
+      cfg.spec = hw::default_hub_spec();
+      // Apps with different sensor counts give the hubs slices of
+      // different lengths.
+      cfg.app_ids = i % 3 == 0   ? std::vector<AppId>{AppId::kA2StepCounter}
+                    : i % 3 == 1 ? std::vector<AppId>{AppId::kA5Blynk, AppId::kA7Earthquake}
+                                 : std::vector<AppId>{AppId::kA6Dropbox};
+      cfg.scheme = Scheme::kBatching;
+      cfg.windows = 2;
+      cfg.seed = 100 + static_cast<std::uint64_t>(i);
+      cfg.hub_index = static_cast<std::size_t>(i);
+      hubs.emplace_back(sim, acct, std::move(cfg));
+    }
+    for (HubRuntime& h : hubs) h.start();
+    sim.run();
+    for (HubRuntime& h : hubs) h.flush_power();
+    span = sim.now() - sim::SimTime::origin();
+  }
+};
+
+TEST(FleetHarvest, HubReportsEqualABruteForceFilterOfTheLedgerByName) {
+  // 12 hubs, so "hub1/" must not match hub10's and hub11's components.
+  LedgerFleet fleet{12, /*scoped=*/true};
+  std::size_t matched = 0;
+  for (const HubRuntime& hub : fleet.hubs) {
+    const HubResult hr = hub.harvest(fleet.acct, fleet.span);
+    const std::string prefix = hub.name() + "/";
+
+    std::map<std::string, std::array<double, energy::kRoutineCount>> rows;
+    std::array<double, energy::kRoutineCount> routine_j{};
+    std::array<sim::Duration, energy::kRoutineCount> busy{};
+    for (energy::ComponentId c = 0; c < fleet.acct.component_count(); ++c) {
+      const std::string& name = fleet.acct.component_name(c);
+      if (name.compare(0, prefix.size(), prefix) != 0) continue;
+      auto& row = rows[name];
+      for (auto rt : energy::kAllRoutines) {
+        const auto r = energy::index_of(rt);
+        row[r] += fleet.acct.joules(c, rt);
+        routine_j[r] += fleet.acct.joules(c, rt);
+        busy[r] += fleet.acct.busy_time(c, rt);
+      }
+    }
+    ASSERT_FALSE(rows.empty()) << hub.name();
+    matched += rows.size();
+    EXPECT_EQ(hr.energy.by_component(), rows) << hub.name();
+    for (auto rt : energy::kAllRoutines) {
+      EXPECT_EQ(hr.energy.joules(rt), routine_j[energy::index_of(rt)]) << hub.name();
+      EXPECT_EQ(hr.energy.busy_time(rt), busy[energy::index_of(rt)]) << hub.name();
+    }
+  }
+  // Every component of the ledger belongs to exactly one hub.
+  EXPECT_EQ(matched, fleet.acct.component_count());
+}
+
+TEST(FleetHarvest, SingleHubSliceIsTheWholeLedger) {
+  LedgerFleet fleet{1, /*scoped=*/false};
+  const HubResult hr = fleet.hubs.front().harvest(fleet.acct, fleet.span);
+  const auto whole = energy::EnergyReport::from_accountant(fleet.acct, fleet.span);
+  EXPECT_EQ(hr.energy.by_component(), whole.by_component());
+  EXPECT_EQ(hr.energy.total_joules(), whole.total_joules());
+  EXPECT_EQ(hr.energy.by_component().count("cpu"), 1u);  // flat names
 }
 
 TEST(FleetRun, CountExpandedHubsDrawDistinctRngStreams) {

@@ -2,11 +2,14 @@
 // the busy/wait power split, and the hub's DMA transfer path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "energy/energy_accountant.h"
+#include "hw/cpu.h"
 #include "hw/iot_hub.h"
+#include "hw/mcu.h"
 #include "hw/processor.h"
 #include "sim/simulator.h"
 
@@ -44,6 +47,42 @@ TEST(PolicyForGap, ChoosesDeepestAffordableMode) {
             SleepPolicy::kLightSleep);
   EXPECT_EQ(p.policy_for_gap(Duration::sec(10), SleepPolicy::kBusyWait),
             SleepPolicy::kBusyWait);
+}
+
+TEST(PolicyForGap, SwitchesExactlyAtEachModesBreakEven) {
+  // The processor computes its break-evens once; a gap a nanosecond either
+  // side of each must pick what the spec's formula gives at that gap.
+  auto formula = [](const ProcessorSpec& spec, Duration gap, SleepPolicy cap) {
+    auto effective = SleepPolicy::kBusyWait;
+    const auto limit =
+        std::min<std::size_t>(static_cast<std::size_t>(cap), spec.sleep_modes.size());
+    for (std::size_t i = 0; i < limit; ++i) {
+      if (gap >= spec.sleep_modes[i].breakeven(spec.active_w)) {
+        effective = static_cast<SleepPolicy>(i + 1);
+      }
+    }
+    return effective;
+  };
+  const HubSpec hub = default_hub_spec();
+  const std::vector<ProcessorSpec> specs = {split_spec(),
+                                            make_cpu_processor_spec(hub.cpu, 1000.0),
+                                            make_mcu_processor_spec(hub.mcu, 80.0)};
+  for (const ProcessorSpec& spec : specs) {
+    sim::Simulator sim;
+    EnergyAccountant acct;
+    Processor p{sim, acct, "p", spec};
+    std::vector<Duration> gaps = {Duration::zero(), Duration::sec(100)};
+    for (const SleepMode& mode : spec.sleep_modes) {
+      const Duration b = mode.breakeven(spec.active_w);
+      gaps.insert(gaps.end(), {b - Duration::ns(1), b, b + Duration::ns(1)});
+    }
+    for (Duration gap : gaps) {
+      for (auto cap :
+           {SleepPolicy::kBusyWait, SleepPolicy::kLightSleep, SleepPolicy::kDeepSleep}) {
+        EXPECT_EQ(p.policy_for_gap(gap, cap), formula(spec, gap, cap)) << gap.to_string();
+      }
+    }
+  }
 }
 
 TEST(IdleConstraint, PinsProcessorWhileAlive) {
