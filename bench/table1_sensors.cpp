@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   trace::TablePrinter t{{"No.", "Sensor", "Bus", "Read (ms)", "Pwr typ (mW)", "Output",
                          "Bytes", "Max rate (Hz)", "QoS rate (Hz)", "MCU-friendly"}};
   for (auto id : sensors::kAllSensors) {
-    const auto s = sensors::spec_of(id);
+    const auto& s = sensors::spec_of(id);
     using TP = trace::TablePrinter;
     t.add_row({s.id, s.name, std::string{to_string(s.bus)}, TP::num(s.read_time.to_ms(), 4),
                TP::num(s.power_typ_mw, 4), s.output_type, std::to_string(s.sample_bytes),

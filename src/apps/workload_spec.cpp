@@ -17,7 +17,7 @@ int WorkloadSpec::interrupts_per_window() const {
 std::size_t WorkloadSpec::sensor_bytes_per_window() const {
   std::size_t bytes = 0;
   for (SensorId s : sensor_ids) {
-    const auto spec = sensors::spec_of(s);
+    const auto& spec = sensors::spec_of(s);
     bytes += static_cast<std::size_t>(spec.samples_per_window()) * spec.sample_bytes;
   }
   return bytes;

@@ -9,33 +9,39 @@
 // Sharding model: hubs couple only through the shared net::Medium. With the
 // ideal medium (no `network` section) acquire() never suspends, hubs are
 // fully independent, and the fleet splits into contiguous hub blocks, one
-// Simulator/Arena/ledger per shard on its own worker thread. One shard is
-// the same path, run inline on the calling thread.
+// worker thread and Arena per shard. Inside a shard the runner splits the
+// block again into kernels of a few hubs, each with its own
+// Simulator/ledger/medium, and runs them one after another; the kernel size
+// is fixed in the runner, not a policy. Output is byte-identical at any
+// partition of the fleet into contiguous blocks, so neither split shows in
+// a result. One shard is the same path, run inline on the calling thread.
 //
 // Window-quantum coupling contract: a SharedAccessPoint whose ApConfig sets
 // `reservation_window` (FIFO only) batches every airtime request made during
 // a reservation window [kQ−Q, kQ) and arbitrates the batch at the boundary
 // kQ in (request time, attachment slot, sequence) order — a total order that
 // does not depend on the interleaving in which requests arrive. That is
-// exactly a barrier schedule: shards run decoupled inside a window, meet at
-// every boundary, and the barrier completion step arbitrates — so windowed
-// shared-AP fleets run the same way at every shard count, one included. The
+// exactly a barrier schedule: shards run decoupled inside a window (each
+// draining its kernels in turn), meet at every boundary, and the barrier
+// completion step arbitrates — so windowed shared-AP fleets run the same
+// way at every shard count, one included. The
 // barrier window is the reservation window, fixed by the scenario; any
 // other quantum would arbitrate at the wrong times.
 //
 // A SharedAccessPoint *without* a reservation window keeps the event-driven
 // FIFO/CSMA model: grant order at equal timestamps depends on the global
 // event sequence, no partition can reproduce it, and the effective shard
-// count collapses to 1. Power-trace recording also forces one shard (one
-// shared trace).
+// count collapses to 1, with the whole fleet as one kernel. Power-trace
+// recording also forces one shard and one kernel (one shared trace).
 #pragma once
 
 namespace iotsim::core {
 
 struct ExecPolicy {
-  /// Worker shards to split the fleet across; clamped to [1, fleet size]
-  /// and collapsed to 1 whenever hubs couple in a way the barrier cannot
-  /// honour (non-windowed shared AP, power trace).
+  /// Worker threads to split the fleet across, each owning one contiguous
+  /// hub block; clamped to [1, fleet size] and collapsed to 1 whenever hubs
+  /// couple in a way the barrier cannot honour (non-windowed shared AP,
+  /// power trace).
   int shards = 1;
 };
 

@@ -44,7 +44,7 @@ HubRuntime::Config hub_config(const Scenario& scenario, const HubView& hv, net::
   return cfg;
 }
 
-/// One hub to harvest, paired with the ledger of the shard it ran in.
+/// One hub to harvest, paired with the ledger of the kernel it ran in.
 struct HarvestEntry {
   const HubRuntime* hub;
   const energy::EnergyAccountant* acct;
@@ -183,18 +183,30 @@ sim::SimTime window_horizon(sim::Duration window, std::int64_t k) {
   return sim::SimTime::from_ns(w * k);
 }
 
+/// Whether hubs couple at equal timestamps: through an event-driven
+/// (FIFO/CSMA, no reservation window) access point, whose grant order at
+/// equal timestamps depends on the global event sequence, or through one
+/// power trace integrating the whole fleet. No partition of the fleet can
+/// reproduce either, so such a scenario runs as one kernel on one shard.
+bool couples_at_equal_times(const Scenario& scenario) {
+  return (scenario.network && !scenario.network->windowed()) || scenario.record_power_trace;
+}
+
+/// Hubs per kernel. A lockstep fleet visits every hub of a kernel at each
+/// sample instant, so a kernel this small keeps its hubs' state (coroutine
+/// frames, generators, processor, ledger slice, window columns) in cache
+/// between visits, where a shard-sized kernel evicts it. Picked by a sweep
+/// over 4–64 hubs on both perfbench fleets (docs/architecture.md §20).
+constexpr std::size_t kHubsPerKernel = 16;
+
 }  // namespace
 
 int ScenarioRunner::effective_shards(const ExecPolicy& policy) const {
-  // Hubs coupled through an event-driven (FIFO/CSMA, no reservation window)
-  // access point cannot shard: grant order at equal timestamps depends on
-  // global event sequence, which no partition can reproduce. A windowed AP
-  // batches requests per reservation window and arbitrates them in a total
-  // order independent of registration interleaving — that contract the
-  // shard barrier can honour, so those fleets keep their shards.
-  if (scenario_.network && !scenario_.network->windowed()) return 1;
-  // One power trace integrates the whole fleet; keep it on one clock.
-  if (scenario_.record_power_trace) return 1;
+  // A windowed AP batches requests per reservation window and arbitrates
+  // them in a total order independent of registration interleaving — a
+  // contract the shard barrier can honour, so those fleets keep their
+  // shards; an equal-timestamp coupling cannot be split at all.
+  if (couples_at_equal_times(scenario_)) return 1;
   const int fleet = std::max(1, static_cast<int>(scenario_.fleet_size()));
   return std::clamp(policy.shards, 1, fleet);
 }
@@ -213,36 +225,61 @@ ScenarioResult ScenarioRunner::run(const ExecPolicy& policy) {
 }
 
 ScenarioResult ScenarioRunner::run_shards(int shards) {
-  // Each shard is a self-contained kernel: its own arena (coroutine frames
-  // AND its hubs' runtime state — a 10k-hub fleet never exists on one heap),
-  // simulator, energy ledger, and medium, driving a contiguous block of the
-  // fleet's hubs. Member order is destruction order in reverse: hubs die
-  // before their medium and simulator, frames before the arena.
-  struct Shard {
+  // A shard is one worker thread driving a contiguous block of the fleet's
+  // hubs as a sequence of kernels. Its one arena holds the coroutine frames
+  // AND the hubs' runtime state of all its kernels (a 10k-hub fleet never
+  // exists on one heap; per-kernel arenas would each strand part of a chunk).
+  struct Worker {
     sim::Arena arena;
-    sim::Simulator sim;
-    energy::EnergyAccountant acct;
-    /// This shard's own medium; null when the fleet shares a windowed AP.
-    std::unique_ptr<net::Medium> medium;
-    std::deque<HubRuntime, sim::ArenaAllocator<HubRuntime>> hubs{
-        sim::ArenaAllocator<HubRuntime>{&arena}};
+    std::size_t kernel_begin = 0;  ///< this worker's kernels: [begin, end)
+    std::size_t kernel_end = 0;
     std::atomic<bool> failed{false};
     std::exception_ptr error;
+  };
+  // A kernel is a self-contained simulation of a contiguous block of at most
+  // kHubsPerKernel hubs: its own simulator, energy ledger, medium and hubs.
+  // Member order is destruction order in reverse: hubs die before their
+  // medium and simulator.
+  struct Kernel {
+    Kernel(sim::Arena& arena, std::size_t begin, std::size_t end)
+        : hub_begin{begin}, hub_end{end}, hubs{sim::ArenaAllocator<HubRuntime>{&arena}} {}
+    std::size_t hub_begin;
+    std::size_t hub_end;
+    sim::Simulator sim;
+    energy::EnergyAccountant acct;
+    /// This kernel's own medium; null when the fleet shares an AP.
+    std::unique_ptr<net::Medium> medium;
+    std::deque<HubRuntime, sim::ArenaAllocator<HubRuntime>> hubs;
   };
 
   const FleetView fleet_view = scenario_.fleet();
   const std::size_t n = fleet_view.size();
   const auto s_count = static_cast<std::size_t>(shards);
   IOTSIM_CHECK_GE(n, s_count, "more shards than hubs after clamping");
-  // Declared first so the AP outlives every hub attached to it.
+  // Declared first so the AP outlives every hub attached to it, and the
+  // arenas before the kernels, so hubs and frames die before their arena.
   std::unique_ptr<net::SharedAccessPoint> shared_ap;
-  std::deque<Shard> fleet(s_count);
+  std::deque<Worker> workers(s_count);
+  std::deque<Kernel> kernels;
+
+  // Kernels partition each worker's hub block in hub order, so kernel order
+  // is hub order. A scenario coupled at equal timestamps is one kernel
+  // holding the whole fleet (effective_shards gives it one worker).
+  const std::size_t kernel_hubs = couples_at_equal_times(scenario_) ? n : kHubsPerKernel;
+  for (std::size_t s = 0; s < s_count; ++s) {
+    Worker& w = workers[s];
+    const std::size_t end = (s + 1) * n / s_count;
+    w.kernel_begin = kernels.size();
+    for (std::size_t h = s * n / s_count; h < end; h += kernel_hubs) {
+      kernels.emplace_back(w.arena, h, std::min(h + kernel_hubs, end));
+    }
+    w.kernel_end = kernels.size();
+  }
 
   // The medium every hub's NICs transmit through follows from the scenario:
-  //   * no network — an IdealMedium per shard (acquire grants without
+  //   * no network — an IdealMedium per kernel (acquire grants without
   //     suspending, byte-identical to the pre-network model);
-  //   * an event-driven FIFO/CSMA AP — built on the one shard's simulator
-  //     (effective_shards never splits such a fleet);
+  //   * an event-driven FIFO/CSMA AP — built on the one kernel's simulator;
   //   * a windowed AP — one kernel-less AP for the whole fleet: request
   //     times come from each NIC's owner simulator, and the boundary step
   //     below arbitrates every reservation-window batch while the shard
@@ -252,103 +289,116 @@ ScenarioResult ScenarioRunner::run_shards(int shards) {
     shared_ap = std::make_unique<net::SharedAccessPoint>(*scenario_.network);
     shared_ap->reserve_attachments(2 * n);
   } else if (scenario_.network) {
-    IOTSIM_CHECK_EQ(s_count, std::size_t{1},
-                    "sharded run with an event-driven access point (effective_shards bug)");
-    auto ap = std::make_unique<net::SharedAccessPoint>(fleet.front().sim, *scenario_.network);
+    IOTSIM_CHECK_EQ(kernels.size(), std::size_t{1},
+                    "event-driven access point split across kernels");
+    auto ap = std::make_unique<net::SharedAccessPoint>(kernels.front().sim, *scenario_.network);
     ap->reserve_attachments(2 * n);
-    fleet.front().medium = std::move(ap);
+    kernels.front().medium = std::move(ap);
   } else {
-    for (Shard& sh : fleet) sh.medium = std::make_unique<net::IdealMedium>();
+    for (Kernel& k : kernels) k.medium = std::make_unique<net::IdealMedium>();
   }
 
-  // One power trace integrates the whole fleet, so it needs one shard
-  // (effective_shards forces it); it is attached after every hub exists
-  // and before any starts, so the integral covers every component.
+  // One power trace integrates the whole fleet, so it needs one kernel; it
+  // is attached after every hub exists and before any starts, so the
+  // integral covers every component.
   std::shared_ptr<trace::PowerTrace> power_trace;
   if (scenario_.record_power_trace) {
-    IOTSIM_CHECK_EQ(s_count, std::size_t{1}, "power trace on a sharded run");
+    IOTSIM_CHECK_EQ(kernels.size(), std::size_t{1}, "power trace split across kernels");
     power_trace = std::make_shared<trace::PowerTrace>();
   }
 
-  // A windowed AP interleaves shard execution in simulated-time lockstep:
-  // every shard drains to the k-th reservation-window boundary, then all
-  // arrive at the barrier before continuing. The completion step runs while
-  // every worker is parked: it first arbitrates the AP's batched airtime
-  // requests at the boundary (scheduling resume events into shard kernels),
-  // then decides termination for all shards at once, so nobody can leave a
-  // barrier another shard still waits on. The done check reads each shard's
-  // pending-event count *after* arbitration: a shard whose sim drained may
-  // have just been handed a resume event. Without a windowed AP the shards
-  // never couple and each runs free to completion.
+  // A windowed AP interleaves kernel execution in simulated-time lockstep:
+  // in round k every worker drains each of its kernels to the k-th
+  // reservation-window boundary, then all workers arrive at the barrier
+  // before continuing. The completion step runs while every worker is
+  // parked: it first arbitrates the AP's batched airtime requests at the
+  // boundary (scheduling resume events into the kernels), then decides
+  // termination for all workers at once, so nobody can leave a barrier
+  // another worker still waits on. The done check reads each kernel's
+  // pending-event count *after* arbitration: a kernel whose sim drained may
+  // have just been handed a resume event. Without a windowed AP the kernels
+  // never couple and each runs free to completion, one after another.
   const sim::Duration window =
       windowed ? scenario_.network->reservation_window : sim::Duration::max();
   std::atomic<bool> all_done{false};
   std::atomic<std::int64_t> round{1};
   net::SharedAccessPoint* ap = shared_ap.get();
-  auto on_window_complete = [&fleet, &all_done, &round, ap, window]() noexcept {
+  auto on_window_complete = [&workers, &kernels, &all_done, &round, ap, window]() noexcept {
     const std::int64_t k = round.fetch_add(1, std::memory_order_relaxed);
     ap->arbitrate_window(window_horizon(window, k));
     bool done = ap->pending_requests() == 0;
-    for (const Shard& sh : fleet) {
-      done = done && (sh.failed.load(std::memory_order_relaxed) ||
-                      sh.sim.stats().pending_events == 0);
+    for (const Worker& w : workers) {
+      if (w.failed.load(std::memory_order_relaxed)) continue;
+      for (std::size_t b = w.kernel_begin; b < w.kernel_end; ++b) {
+        done = done && kernels[b].sim.stats().pending_events == 0;
+      }
     }
     all_done.store(done, std::memory_order_relaxed);
   };
   std::barrier barrier{static_cast<std::ptrdiff_t>(s_count), on_window_complete};
 
-  auto run_shard = [this, &fleet, &fleet_view, &barrier, &all_done, &power_trace, ap, windowed,
-                    window, n, s_count](std::size_t s) {
-    Shard& shard = fleet[s];
+  auto run_worker = [this, &workers, &kernels, &fleet_view, &power_trace, &barrier, &all_done,
+                     ap, windowed, window](std::size_t s) {
+    Worker& w = workers[s];
     bool failed = false;
     try {
-      sim::ArenaScope frame_arena{shard.arena};
-      // Lazy materialization: each hub is built here, inside its shard
-      // worker, from the count-compressed scenario — runtime state lands
-      // in this shard's arena and construction parallelizes with the
-      // shard count. Slot-addressed NIC attachment (hub_index) keeps the
-      // shared AP's attachment table identical at every shard count no
-      // matter how workers interleave.
-      net::Medium* medium = ap != nullptr ? static_cast<net::Medium*>(ap) : shard.medium.get();
-      for (std::size_t h = s * n / s_count; h < (s + 1) * n / s_count; ++h) {
-        shard.hubs.emplace_back(shard.sim, shard.acct,
-                                hub_config(scenario_, fleet_view.hub(h), medium, &shard.arena));
+      sim::ArenaScope frame_arena{w.arena};
+      // Lazy materialization: each hub is built here, inside its worker,
+      // from the count-compressed scenario — runtime state lands in the
+      // worker's arena and construction parallelizes with the shard count.
+      // Slot-addressed NIC attachment (hub_index) keeps the shared AP's
+      // attachment table identical at every shard count no matter how
+      // workers interleave. Without a windowed AP a kernel is built,
+      // started and run to completion before the next one is built, so
+      // only one kernel's window buffers are live per worker at a time.
+      for (std::size_t b = w.kernel_begin; b < w.kernel_end; ++b) {
+        Kernel& k = kernels[b];
+        net::Medium* medium = ap != nullptr ? static_cast<net::Medium*>(ap) : k.medium.get();
+        for (std::size_t h = k.hub_begin; h < k.hub_end; ++h) {
+          k.hubs.emplace_back(k.sim, k.acct,
+                              hub_config(scenario_, fleet_view.hub(h), medium, &w.arena));
+        }
+        if (power_trace) {
+          for (auto& hub : k.hubs) hub.attach_trace(*power_trace);
+        }
+        for (auto& hub : k.hubs) hub.start();
+        if (!windowed) k.sim.run();
       }
-      if (power_trace) {
-        for (auto& hub : shard.hubs) hub.attach_trace(*power_trace);
-      }
-      for (auto& hub : shard.hubs) hub.start();
-      if (!windowed) shard.sim.run();
     } catch (...) {
-      shard.error = std::current_exception();
+      w.error = std::current_exception();
       failed = true;
     }
     if (windowed) {
       for (std::int64_t k = 1;; ++k) {
         if (!failed) {
           try {
-            sim::ArenaScope frame_arena{shard.arena};
-            shard.sim.drain_until(window_horizon(window, k));
+            sim::ArenaScope frame_arena{w.arena};
+            for (std::size_t b = w.kernel_begin; b < w.kernel_end; ++b) {
+              kernels[b].sim.drain_until(window_horizon(window, k));
+            }
           } catch (...) {
-            shard.error = std::current_exception();
+            w.error = std::current_exception();
             failed = true;
           }
         }
-        shard.failed.store(failed, std::memory_order_relaxed);
+        w.failed.store(failed, std::memory_order_relaxed);
         barrier.arrive_and_wait();
         if (all_done.load(std::memory_order_relaxed)) break;
       }
     }
     if (failed) return;
     try {
-      shard.sim.check_processes();
-      IOTSIM_CHECK(shard.sim.all_processes_done(), "shard drained with live processes at t=%s",
-                   shard.sim.now().to_string().c_str());
-      // Power is NOT flushed here: each shard's clock stops at its own
+      for (std::size_t b = w.kernel_begin; b < w.kernel_end; ++b) {
+        const sim::Simulator& sim = kernels[b].sim;
+        sim.check_processes();
+        IOTSIM_CHECK(sim.all_processes_done(), "kernel drained with live processes at t=%s",
+                     sim.now().to_string().c_str());
+      }
+      // Power is NOT flushed here: each kernel's clock stops at its own
       // last event, but idle power must integrate to the fleet-wide end
-      // time. The merge phase advances every shard to the global span first.
+      // time. The merge phase advances every kernel to the global span first.
     } catch (...) {
-      shard.error = std::current_exception();
+      w.error = std::current_exception();
     }
   };
 
@@ -356,50 +406,50 @@ ScenarioResult ScenarioRunner::run_shards(int shards) {
   // worker each: every shard job must run concurrently when windowed (they
   // meet at the barrier).
   if (s_count == 1) {
-    run_shard(0);
+    run_worker(0);
   } else {
     ThreadPool pool{shards};
-    for (std::size_t s = 0; s < s_count; ++s) pool.submit([&run_shard, s] { run_shard(s); });
+    for (std::size_t s = 0; s < s_count; ++s) pool.submit([&run_worker, s] { run_worker(s); });
     pool.wait_idle();
   }
-  for (Shard& sh : fleet) {
-    if (sh.error) std::rethrow_exception(sh.error);
+  for (Worker& w : workers) {
+    if (w.error) std::rethrow_exception(w.error);
   }
 
-  // Merge in shard order — which is hub order, because shards hold
-  // contiguous blocks. Every sum below therefore reproduces the one-shard
+  // Merge in kernel order — which is hub order, because kernels hold
+  // contiguous blocks. Every sum below therefore reproduces the one-kernel
   // iteration order (floats bit-identically; see
   // EnergyReport::from_accountants).
   ScenarioResult result;
   result.scheme = scenario_.scheme;
   sim::SimTime span_end = sim::SimTime::origin();
-  for (const Shard& sh : fleet) span_end = std::max(span_end, sh.sim.now());
+  for (const Kernel& k : kernels) span_end = std::max(span_end, k.sim.now());
   result.span = span_end - sim::SimTime::origin();
 
-  // Close every hub's power segments at the fleet-wide end time: a shard
+  // Close every hub's power segments at the fleet-wide end time: a kernel
   // whose last event fired early still idles (on every component's resting
   // state) until the fleet finishes, exactly as it would sharing one
   // clock. run_until on a drained simulator only advances the clock — no
   // events, no coroutine frames.
-  for (Shard& sh : fleet) {
-    sh.sim.run_until(span_end);
-    for (auto& hub : sh.hubs) hub.flush_power();
-    sh.acct.check_conservation();
+  for (Kernel& k : kernels) {
+    k.sim.run_until(span_end);
+    for (auto& hub : k.hubs) hub.flush_power();
+    k.acct.check_conservation();
   }
 
   std::vector<const energy::EnergyAccountant*> ledgers;
-  ledgers.reserve(s_count);
-  for (const Shard& sh : fleet) ledgers.push_back(&sh.acct);
+  ledgers.reserve(kernels.size());
+  for (const Kernel& k : kernels) ledgers.push_back(&k.acct);
   result.energy = energy::EnergyReport::from_accountants(ledgers, result.span);
   {
-    // The fleet's media — the one shared AP, or one per shard — summed in
-    // shard order. A network means exactly one medium; the ideal medium's
+    // The fleet's media — the one shared AP, or one per kernel — summed in
+    // kernel order. A network means exactly one medium; the ideal medium's
     // utilization is always zero.
     std::vector<const net::Medium*> media;
     if (shared_ap != nullptr) {
       media.push_back(shared_ap.get());
     } else {
-      for (const Shard& sh : fleet) media.push_back(sh.medium.get());
+      for (const Kernel& k : kernels) media.push_back(k.medium.get());
     }
     energy::CongestionSummary congestion;
     congestion.modeled = scenario_.network.has_value();
@@ -416,20 +466,20 @@ ScenarioResult ScenarioRunner::run_shards(int shards) {
   {
     energy::KernelSummary kernel;
     kernel.shards = static_cast<int>(s_count);
-    for (const Shard& sh : fleet) {
-      const sim::SimulatorStats kernel_stats = sh.sim.stats();
+    for (const Kernel& k : kernels) {
+      const sim::SimulatorStats kernel_stats = k.sim.stats();
       kernel.events_dispatched += kernel_stats.events_dispatched;
       kernel.peak_queue_depth = std::max(kernel.peak_queue_depth, kernel_stats.peak_queue_depth);
     }
-    kernel.scheduler = std::string{sim::to_string(fleet.front().sim.stats().scheduler)};
+    kernel.scheduler = std::string{sim::to_string(kernels.front().sim.stats().scheduler)};
     result.energy.set_kernel(std::move(kernel));
   }
   result.power_trace = power_trace;
 
   std::vector<HarvestEntry> entries;
   entries.reserve(n);
-  for (const Shard& sh : fleet) {
-    for (const HubRuntime& hub : sh.hubs) entries.push_back(HarvestEntry{&hub, &sh.acct});
+  for (const Kernel& k : kernels) {
+    for (const HubRuntime& hub : k.hubs) entries.push_back(HarvestEntry{&hub, &k.acct});
   }
   result.energy.set_availability(availability_summary(entries));
   harvest_fleet(result, scenario_, entries);

@@ -8,20 +8,25 @@
 //
 // Execution shape is a separate axis (core/exec_policy.h), and there is one
 // execution path: run(policy) splits the fleet into contiguous hub blocks,
-// one Simulator, arena and energy ledger per shard, and merges results in
-// shard order, so the output is byte-identical at any shard count. The
-// single-kernel run is simply one shard, executed inline on the calling
-// thread; more shards get one worker thread each. Hubs are materialized
-// lazily from Scenario::fleet() inside their shard — each hub's runtime
-// state lives in its shard's arena, so a 10k-hub fleet never exists on one
-// heap at once and construction itself parallelizes with the shard count.
+// one worker thread and arena per shard, and each shard's block further
+// into kernels of a few hubs, each with its own Simulator, energy ledger
+// and medium. A worker runs its kernels one after another, so a kernel's
+// hubs stay in cache across the sample instants they share. Results merge
+// in kernel order, which is hub order, so the output is byte-identical at
+// any shard count. The single-kernel run is simply one shard, executed
+// inline on the calling thread; more shards get one worker thread each.
+// Hubs are materialized lazily from Scenario::fleet() inside their worker —
+// each hub's runtime state lives in its shard's arena, so a 10k-hub fleet
+// never exists on one heap at once and construction itself parallelizes
+// with the shard count. Hubs coupled at equal timestamps (an event-driven
+// shared access point, or one power trace) run as one kernel on one shard.
 //
 // Fleets coupled through a windowed shared access point
 // (ApConfig::reservation_window > 0) run in lockstep at any shard count:
-// every shard drains to the next reservation-window boundary, then the
-// barrier's completion step arbitrates the batched airtime requests on the
-// one kernel-less AP. The barrier window is the reservation window; it
-// follows from the scenario, not from the policy.
+// every worker drains each of its kernels to the next reservation-window
+// boundary, then the barrier's completion step arbitrates the batched
+// airtime requests on the one kernel-less AP. The barrier window is the
+// reservation window; it follows from the scenario, not from the policy.
 #pragma once
 
 #include "core/exec_policy.h"
@@ -57,8 +62,9 @@ class ScenarioRunner {
   [[nodiscard]] int effective_shards(const ExecPolicy& policy) const;
 
  private:
-  /// The one execution path: `shards` (already effective) kernels, inline
-  /// on the calling thread when there is one.
+  /// The one execution path: `shards` (already effective) workers, each
+  /// running its hub block as a sequence of kernels, inline on the calling
+  /// thread when there is one.
   [[nodiscard]] ScenarioResult run_shards(int shards);
 
   Scenario scenario_;

@@ -64,9 +64,9 @@ struct AvailabilitySummary {
 /// across shards, and scheduler/shards depend on how the run was launched.
 struct KernelSummary {
   std::uint64_t events_dispatched = 0;
-  std::size_t peak_queue_depth = 0;  ///< max over shards
-  std::string scheduler;             ///< sim::to_string(SchedulerKind) of shard 0
-  int shards = 1;                    ///< effective shard count
+  std::size_t peak_queue_depth = 0;  ///< max over kernels
+  std::string scheduler;             ///< sim::to_string(SchedulerKind) of kernel 0
+  int shards = 1;                    ///< effective shard (worker thread) count
 };
 
 class EnergyReport {

@@ -1,8 +1,12 @@
 #include "sensors/sensor_catalog.h"
 
+#include <cassert>
+
 namespace iotsim::sensors {
 
-SensorSpec spec_of(SensorId id) {
+namespace {
+
+SensorSpec build_spec(SensorId id) {
   using sim::Duration;
   SensorSpec s;
   switch (id) {
@@ -54,8 +58,21 @@ SensorSpec spec_of(SensorId id) {
   return s;
 }
 
+}  // namespace
+
+const SensorSpec& spec_of(SensorId id) {
+  static const auto specs = [] {
+    std::array<SensorSpec, kAllSensors.size()> out;
+    for (SensorId s : kAllSensors) out[static_cast<std::size_t>(s)] = build_spec(s);
+    return out;
+  }();
+  const auto idx = static_cast<std::size_t>(id);
+  assert(idx < specs.size());
+  return specs[idx];
+}
+
 std::unique_ptr<Sensor> make_sensor(SensorId id, sim::Rng& master, const WorldConfig& world) {
-  SensorSpec spec = spec_of(id);
+  SensorSpec spec = spec_of(id);  // the sensor keeps its own copy
   sim::Rng rng = master.fork();
   std::unique_ptr<SignalGenerator> gen;
 

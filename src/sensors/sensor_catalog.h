@@ -31,8 +31,8 @@ inline constexpr std::array<SensorId, 10> kAllSensors = {
     SensorId::kS10Camera,
 };
 
-/// The Table I specification row for a sensor.
-[[nodiscard]] SensorSpec spec_of(SensorId id);
+/// The Table I specification row for a sensor, from a table built once.
+[[nodiscard]] const SensorSpec& spec_of(SensorId id);
 
 /// Options that shape the synthetic world behind the sensors.
 struct WorldConfig {

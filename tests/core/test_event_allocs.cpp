@@ -1,13 +1,14 @@
 // Guard against heap allocations creeping back into the event path.
 //
-// This binary replaces the global operator new with a counting one, so it
-// is its own test executable: the count covers everything the process
-// allocates. It runs one single-hub Baseline scenario (an interrupt and a
-// CPU transfer per sample, the kernel's busiest path) at two lengths and
-// divides the extra allocations by the extra events dispatched. Set-up and
-// result assembly cost the same in both runs and cancel out, so what is
-// left is the per-event cost of the dispatch loop and the coroutines above
-// it. The count is deterministic: the scenario runs inline on this thread.
+// This binary replaces the global operator new (scalar and array) with a
+// counting one, so it is its own test executable: the count covers
+// everything the process allocates. It runs one single-hub Baseline
+// scenario (an interrupt and a CPU transfer per sample, the kernel's
+// busiest path) at two lengths and divides the extra allocations by the
+// extra events dispatched. Set-up and result assembly cost the same in
+// both runs and cancel out, so what is left is the per-event cost of the
+// dispatch loop and the coroutines above it. The count is deterministic:
+// the scenario runs inline on this thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,6 +29,9 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc{};
 }
+// The array form is replaced too: a sanitizer runtime would otherwise serve
+// it without passing through the counting operator new.
+void* operator new[](std::size_t size) { return operator new(size); }
 // The replacement operator new above allocates with malloc, so free is the
 // matching release. GCC's -Wmismatched-new-delete pairs any operator new
 // with operator delete only, and reports this free once it inlines these
@@ -36,6 +40,8 @@ void* operator new(std::size_t size) {
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace iotsim::core {

@@ -17,25 +17,25 @@ TEST(SensorCatalog, AllTenSensorsBuild) {
 
 TEST(SensorCatalog, TableOneAnchors) {
   // Spot-check rows against the paper's Table I.
-  const auto s1 = spec_of(SensorId::kS1Barometer);
+  const auto& s1 = spec_of(SensorId::kS1Barometer);
   EXPECT_EQ(s1.bus, BusType::kSpi);
   EXPECT_DOUBLE_EQ(s1.read_time.to_ms(), 37.5);
   EXPECT_DOUBLE_EQ(s1.power_typ_mw, 19.47);
   EXPECT_EQ(s1.sample_bytes, 8u);
   EXPECT_DOUBLE_EQ(s1.qos_rate_hz, 10.0);
 
-  const auto s4 = spec_of(SensorId::kS4Accelerometer);
+  const auto& s4 = spec_of(SensorId::kS4Accelerometer);
   EXPECT_EQ(s4.bus, BusType::kAnalog);
   EXPECT_EQ(s4.sample_bytes, 12u);
   EXPECT_DOUBLE_EQ(s4.qos_rate_hz, 1000.0);
   EXPECT_DOUBLE_EQ(s4.power_typ_mw, 1.3);
 
-  const auto s3 = spec_of(SensorId::kS3Fingerprint);
+  const auto& s3 = spec_of(SensorId::kS3Fingerprint);
   EXPECT_DOUBLE_EQ(s3.read_time.to_ms(), 850.0);
   EXPECT_EQ(s3.sample_bytes, 512u);
   EXPECT_EQ(s3.samples_per_window(), 1);  // on-demand
 
-  const auto s10 = spec_of(SensorId::kS10Camera);
+  const auto& s10 = spec_of(SensorId::kS10Camera);
   EXPECT_EQ(s10.sample_bytes, 24u * 1024u);
 }
 
@@ -48,7 +48,7 @@ TEST(SensorCatalog, SamplesPerWindowFollowQos) {
 
 TEST(SensorCatalog, McuBusySplitIsConsistent) {
   for (auto id : kAllSensors) {
-    const auto s = spec_of(id);
+    const auto& s = spec_of(id);
     EXPECT_LE(s.mcu_busy_time(), s.read_time) << s.id;
     EXPECT_EQ(s.mcu_busy_time() + s.conversion_time(), s.read_time) << s.id;
   }
