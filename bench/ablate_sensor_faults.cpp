@@ -3,11 +3,8 @@
 // advantage survive a flaky sensor?
 //
 // The fault rate is configured through the environment layer (an iid
-// FaultProfile); the legacy WorldConfig::sensor_fault_prob spelling must
-// produce bit-identical results — the iid profile reproduces the exact
-// fault_rng draw sequence — and every row is checked against it.
+// FaultProfile).
 #include "bench_util.h"
-#include "check/check.h"
 
 using namespace iotsim;
 
@@ -23,35 +20,6 @@ core::Scenario faulty_scenario(bench::Session& session, core::Scheme scheme, dou
       .windows(session.windows())
       .environment(environment)
       .build();
-}
-
-/// The pre-environment spelling of the same scenario, kept as the
-/// equivalence oracle.
-core::Scenario legacy_scenario(bench::Session& session, core::Scheme scheme, double prob) {
-  sensors::WorldConfig world;  // default quiet world, as in the original bench
-  world.sensor_fault_prob = prob;
-  return core::Scenario::builder()
-      .apps({apps::AppId::kA2StepCounter})
-      .scheme(scheme)
-      .windows(session.windows())
-      .world(world)
-      .build();
-}
-
-/// Bit-exact equivalence of the observable run outcome (silent on success —
-/// the table below must stay byte-identical to the pre-environment bench).
-void check_matches_legacy(const core::ScenarioResult& via_env,
-                          const core::ScenarioResult& via_world) {
-  IOTSIM_CHECK_EQ(via_env.total_joules(), via_world.total_joules(),
-                  "env iid fault profile diverged from world.sensor_fault_prob (energy)");
-  IOTSIM_CHECK_EQ(via_env.sensor_read_errors, via_world.sensor_read_errors,
-                  "env iid fault profile diverged from world.sensor_fault_prob (errors)");
-  IOTSIM_CHECK_EQ(via_env.interrupts_raised, via_world.interrupts_raised,
-                  "env iid fault profile diverged from world.sensor_fault_prob (IRQs)");
-  IOTSIM_CHECK_EQ(via_env.cpu_wakeups, via_world.cpu_wakeups,
-                  "env iid fault profile diverged from world.sensor_fault_prob (wakeups)");
-  IOTSIM_CHECK_EQ(via_env.span.count_ns(), via_world.span.count_ns(),
-                  "env iid fault profile diverged from world.sensor_fault_prob (span)");
 }
 
 }  // namespace
@@ -81,9 +49,6 @@ int main(int argc, char** argv) {
     double baseline_j = 0.0;
     for (auto scheme : kSchemes) {
       const auto r = session.run(faulty_scenario(session, scheme, prob));
-      // Oracle run outside the session's sweep: the memo stats (and with
-      // them this bench's diagnostics) stay identical to the legacy bench.
-      check_matches_legacy(r, core::run_scenario(legacy_scenario(session, scheme, prob)));
       const double clean_j = session.run(faulty_scenario(session, scheme, 0.0)).total_joules();
       if (scheme == core::Scheme::kBaseline) baseline_j = r.total_joules();
 

@@ -20,15 +20,18 @@ int main(int argc, char** argv) {
 
   std::cout << "=== iotsim fleet: 4 hubs, one clock, " << windows << " windows ===\n\n";
 
-  // The wearable hub gets a noisier world than the rest of the fleet.
+  // The wearable hub gets a noisier world than the rest of the fleet, and
+  // sensors whose availability checks fail 2% of the time.
   sensors::WorldConfig noisy;
   noisy.heart_bpm = 88.0;
   noisy.heart_irregular_prob = 0.2;
-  noisy.sensor_fault_prob = 0.02;
+  env::EnvironmentConfig flaky;
+  flaky.faults.fault_prob = 0.02;
 
   core::HubInstance wearable;
   wearable.app_ids = {apps::AppId::kA2StepCounter, apps::AppId::kA8Heartbeat};
   wearable.world = noisy;
+  wearable.environment = flaky;
 
   core::HubInstance home;
   home.app_ids = {apps::AppId::kA5Blynk, apps::AppId::kA7Earthquake};

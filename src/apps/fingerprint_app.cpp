@@ -43,7 +43,6 @@ class FingerprintApp final : public IotApp {
     if (tpl->subject_id != 0 && !enrolled_ids_.contains(tpl->subject_id)) {
       enrolled_ids_.insert(tpl->subject_id);
       (void)db_.enroll(*tpl);
-      ++enrolls_;
       os << "enrolled subject " << tpl->subject_id << " (db=" << db_.size() << ")";
       out.metric = static_cast<double>(tpl->subject_id);
       out.summary = os.str();
@@ -65,12 +64,9 @@ class FingerprintApp final : public IotApp {
     return out;
   }
 
-  [[nodiscard]] std::size_t enrolled() const { return enrolls_; }
-
  private:
   codecs::fingerprint::EnrollmentDb db_;
   std::set<std::uint16_t> enrolled_ids_;
-  std::size_t enrolls_ = 0;
   std::size_t probes_ = 0;
   std::size_t hits_ = 0;
 };

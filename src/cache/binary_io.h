@@ -103,7 +103,6 @@ class ByteReader {
 
   [[nodiscard]] bool ok() const { return !failed_; }
   [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
 
  private:
   const char* take(std::size_t n) {

@@ -2,7 +2,7 @@
 // core::SweepRunner's in-memory memo (ROADMAP "sweep-as-a-service").
 //
 // Keying: the full scenario_key() byte serialisation (version-tagged
-// "iotSim05"), never a digest alone. Entries are sharded into
+// "iotSim06"), never a digest alone. Entries are sharded into
 // subdirectories by the leading byte of the CRC-32 scenario fingerprint,
 // and the file name carries the CRC-32 plus an FNV-1a-64 of the key — but
 // the entry itself stores the complete key and lookup() compares it, so a
@@ -57,8 +57,6 @@ class ResultCache {
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
-
-  [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
 
   /// The entry file a key is stored at (exists or not):
   /// <dir>/<xx>/<crc32 hex>-<fnv64 hex>.res, xx = fingerprint's top byte.

@@ -33,8 +33,6 @@ class CoapClient {
   [[nodiscard]] FetchResult fetch(CoapServer& server, const std::string& path,
                                   std::uint32_t block_size = 64, int max_blocks = 64);
 
-  [[nodiscard]] std::uint16_t last_message_id() const { return next_mid_ - 1; }
-
  private:
   [[nodiscard]] std::vector<std::uint8_t> fresh_token();
 

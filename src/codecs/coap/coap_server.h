@@ -53,7 +53,6 @@ class CoapServer {
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> notify_observers(const std::string& path);
 
   [[nodiscard]] std::size_t observer_count(const std::string& path) const;
-  [[nodiscard]] std::size_t resource_count() const { return resources_.size(); }
 
   std::size_t preferred_block_size = 64;
 

@@ -39,7 +39,6 @@ class EnrollmentDb {
                                                       const MatchConfig& cfg = {}) const;
 
   [[nodiscard]] std::size_t size() const { return templates_.size(); }
-  void clear() { templates_.clear(); }
 
  private:
   std::vector<Template> templates_;

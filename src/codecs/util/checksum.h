@@ -20,7 +20,6 @@ class RollingAdler32 {
   void roll(std::uint8_t out_byte, std::uint8_t in_byte);
 
   [[nodiscard]] std::uint32_t value() const { return (b_ << 16) | a_; }
-  [[nodiscard]] std::size_t window() const { return window_; }
 
  private:
   static constexpr std::uint32_t kMod = 65521;

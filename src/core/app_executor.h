@@ -125,7 +125,6 @@ class AppExecutor {
   [[nodiscard]] WindowCollector& collector(int w) {
     return *collectors_.at(static_cast<std::size_t>(w));
   }
-  [[nodiscard]] int windows() const { return windows_; }
   void set_completion_line(hw::IrqLine line) { line_ = line; }
   /// Attaches the hub's environment (nullptr = legacy always-on hub). Must
   /// be called before the loops are spawned; the executor consults it for

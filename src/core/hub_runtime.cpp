@@ -142,12 +142,8 @@ void HubRuntime::start() {
   // Streams also get their fault model seeded here — one rng_.fork() per
   // stream, in stream order: the legacy fork sequence, regardless of which
   // fault model the fork feeds.
-  env::FaultProfileConfig fault_cfg;
-  if (env_) {
-    fault_cfg = env_->config().faults;
-  } else {
-    fault_cfg.fault_prob = cfg_.world.sensor_fault_prob;
-  }
+  const env::FaultProfileConfig fault_cfg =
+      env_ ? env_->config().faults : env::FaultProfileConfig{};
   for (auto& st : streams_) {
     st.fault = env::make_fault_profile(fault_cfg, rng_.fork());
     if (st.mode == AppMode::kPerSample) {

@@ -100,8 +100,6 @@ class HubRuntime {
   [[nodiscard]] HubResult harvest(const energy::EnergyAccountant& acct,
                                   sim::Duration span) const;
 
-  [[nodiscard]] const std::string& name() const { return cfg_.name; }
-  [[nodiscard]] hw::IotHub& hub() { return *hub_; }
   /// Availability snapshot (default "always up" stats without an
   /// environment). Valid after the sim drains; the runner sums these per
   /// fleet for the report-level reassembly invariant.

@@ -106,10 +106,73 @@ void validate_positive_rate(double rate, const std::string& prefix, const char* 
 
 void validate_world(const sensors::WorldConfig& w, const std::string& prefix,
                     std::vector<ScenarioError>& errors) {
-  validate_fault_prob(w.sensor_fault_prob, prefix, "sensor_fault_prob", errors);
   validate_positive_rate(w.heart_bpm, prefix, "heart_bpm", errors);
   validate_fault_prob(w.heart_irregular_prob, prefix, "heart_irregular_prob", errors);
   validate_positive_rate(w.walking_cadence_hz, prefix, "walking_cadence_hz", errors);
+}
+
+// Every field path starts "hub.", after `prefix` ("" for the single hub,
+// "hubs[i]." for a fleet template).
+void validate_hub_spec(const hw::HubSpec& h, const std::string& prefix,
+                       std::vector<ScenarioError>& errors) {
+  const std::pair<const char*, double> watts[] = {
+      {"hub.cpu.active_w", h.cpu.active_w},
+      {"hub.cpu.busy_w", h.cpu.busy_w},
+      {"hub.cpu.light_sleep_w", h.cpu.light_sleep_w},
+      {"hub.cpu.deep_sleep_w", h.cpu.deep_sleep_w},
+      {"hub.cpu.transition_w", h.cpu.transition_w},
+      {"hub.mcu.active_w", h.mcu.active_w},
+      {"hub.mcu.sleep_w", h.mcu.sleep_w},
+      {"hub.mcu.transition_w", h.mcu.transition_w},
+      {"hub.pio_bus.active_w", h.pio_bus.active_w},
+      {"hub.pio_bus.idle_w", h.pio_bus.idle_w},
+      {"hub.link_bus.active_w", h.link_bus.active_w},
+      {"hub.link_bus.idle_w", h.link_bus.idle_w},
+      {"hub.main_nic.tx_w", h.main_nic.tx_w},
+      {"hub.main_nic.rx_w", h.main_nic.rx_w},
+      {"hub.main_nic.idle_w", h.main_nic.idle_w},
+      {"hub.mcu_nic.tx_w", h.mcu_nic.tx_w},
+      {"hub.mcu_nic.rx_w", h.mcu_nic.rx_w},
+      {"hub.mcu_nic.idle_w", h.mcu_nic.idle_w},
+      {"hub.main_board_base_w", h.main_board_base_w},
+      {"hub.mcu_board_base_w", h.mcu_board_base_w},
+  };
+  for (const auto& [field, w] : watts) {
+    if (!(w >= 0.0) || !std::isfinite(w)) {
+      errors.push_back({prefix + field,
+                        "must be a non-negative finite power (got " + std::to_string(w) + ")"});
+    }
+  }
+  const std::pair<const char*, sim::Duration> durations[] = {
+      {"hub.cpu.light_wake_latency", h.cpu.light_wake_latency},
+      {"hub.cpu.deep_wake_latency", h.cpu.deep_wake_latency},
+      {"hub.mcu.wake_latency", h.mcu.wake_latency},
+      {"hub.main_nic.tail", h.main_nic.tail},
+      {"hub.mcu_nic.tail", h.mcu_nic.tail},
+      {"hub.dma_setup", h.dma_setup},
+      {"hub.transfer_fixed_overhead", h.transfer_fixed_overhead},
+      {"hub.transfer_per_byte", h.transfer_per_byte},
+      {"hub.interrupt_raise", h.interrupt_raise},
+      {"hub.interrupt_dispatch", h.interrupt_dispatch},
+      {"hub.mcu_buffer_store", h.mcu_buffer_store},
+  };
+  for (const auto& [field, d] : durations) {
+    if (d.is_negative()) {
+      errors.push_back({prefix + field, "must be >= 0 (got " + d.to_string() + ")"});
+    }
+  }
+  validate_positive_rate(h.main_nic.bytes_per_second, prefix, "hub.main_nic.bytes_per_second",
+                         errors);
+  validate_positive_rate(h.mcu_nic.bytes_per_second, prefix, "hub.mcu_nic.bytes_per_second",
+                         errors);
+  validate_positive_rate(h.cpu_nominal_mips, prefix, "hub.cpu_nominal_mips", errors);
+  validate_positive_rate(h.mcu_nominal_mips, prefix, "hub.mcu_nominal_mips", errors);
+  if (h.mcu_firmware_reserved > h.mcu_ram_bytes) {
+    errors.push_back({prefix + "hub.mcu_firmware_reserved",
+                      "must not exceed mcu_ram_bytes (got " +
+                          std::to_string(h.mcu_firmware_reserved) + " > " +
+                          std::to_string(h.mcu_ram_bytes) + ")"});
+  }
 }
 
 void validate_environment(const env::EnvironmentConfig& e, const std::string& prefix,
@@ -190,6 +253,7 @@ std::vector<ScenarioError> Scenario::validate() const {
         errors.push_back(
             {prefix + "count", "must be >= 1 (got " + std::to_string(inst.count) + ")"});
       }
+      validate_hub_spec(inst.hub, prefix, errors);
       if (inst.world) validate_world(*inst.world, prefix + "world.", errors);
       if (inst.environment) {
         validate_environment(*inst.environment, prefix + "environment.", errors);
@@ -197,6 +261,7 @@ std::vector<ScenarioError> Scenario::validate() const {
     }
   } else {
     validate_app_list(app_ids, "app_ids", errors);
+    validate_hub_spec(hub, std::string{}, errors);
   }
 
   if (windows <= 0) {

@@ -143,16 +143,15 @@ struct Scenario {
 
   /// Scenario-level environment default: fault profile, crash/reboot model
   /// and power source applied to every hub that has no per-hub override.
-  /// Unset ⇒ the legacy always-on world (hubs on mains, faults governed by
-  /// sensors::WorldConfig::sensor_fault_prob). When set, its fault profile
-  /// *replaces* world.sensor_fault_prob for the hubs it covers.
+  /// Unset ⇒ the always-on world: hubs on mains, sensors that never fail.
   std::optional<env::EnvironmentConfig> environment;
 
   /// Fleet mode: when non-empty, the scenario simulates this list of hubs
   /// (count-expanded) instead of the single legacy hub above, and the
-  /// top-level `app_ids`/`hub` fields must stay empty/default. All hubs
-  /// share one Simulator clock and one EnergyAccountant; components are
-  /// scoped per hub ("hub0/cpu", "hub1/mcu", …).
+  /// top-level `app_ids`/`hub` fields must stay empty/default. Hubs run in
+  /// kernels of up to 16 consecutive hubs (the whole fleet when hubs couple
+  /// at equal timestamps), each kernel with its own Simulator clock and
+  /// EnergyAccountant; components are scoped per hub ("hub0/cpu", "hub1/mcu", …).
   std::vector<HubInstance> hubs;
 
   /// True when the explicit hub list is in use (fleet mode).
@@ -183,11 +182,6 @@ class ScenarioBuilder {
  public:
   ScenarioBuilder& apps(std::vector<apps::AppId> ids) {
     sc_.app_ids = std::move(ids);
-    return *this;
-  }
-  /// Appends one app (handy for incrementally stacked scenarios).
-  ScenarioBuilder& app(apps::AppId id) {
-    sc_.app_ids.push_back(id);
     return *this;
   }
   ScenarioBuilder& scheme(Scheme s) {

@@ -64,7 +64,6 @@ void append_world(ByteSink& s, const sensors::WorldConfig& w) {
   s.f64(w.heart_bpm);
   s.f64(w.heart_irregular_prob);
   s.f64(w.walking_cadence_hz);
-  s.f64(w.sensor_fault_prob);
 }
 
 void append_environment(ByteSink& s, const env::EnvironmentConfig& e) {
@@ -135,7 +134,7 @@ std::string scenario_key(const Scenario& sc) {
   // the note in core/scenario.h; tests/core/test_scenario_key.cpp mutates
   // every field). A version tag guards persisted keys against layout drift.
   ByteSink s;
-  s.u64(0x696F7453696D3035ull);  // "iotSim05": adds the AP reservation window
+  s.u64(0x696F7453696D3036ull);  // "iotSim06": drops world.sensor_fault_prob
 
   append_app_list(s, sc.app_ids);
   s.u8(static_cast<std::uint8_t>(sc.scheme));

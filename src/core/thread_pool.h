@@ -44,8 +44,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] int size() const { return static_cast<int>(workers_.size()); }
-
   void submit(std::function<void()> job) {
     {
       std::lock_guard lock{mu_};

@@ -31,7 +31,6 @@ class MovingAverage {
  public:
   explicit MovingAverage(std::size_t window);
   [[nodiscard]] double process(double x);
-  [[nodiscard]] std::size_t window() const { return window_; }
 
  private:
   std::size_t window_;

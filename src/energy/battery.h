@@ -13,11 +13,9 @@ class Battery {
   /// discharge limit (Li-ion packs are rarely run to zero).
   explicit Battery(double capacity_wh, double usable_fraction = 0.9);
 
-  [[nodiscard]] double capacity_joules() const { return capacity_j_; }
-  [[nodiscard]] double usable_joules() const { return capacity_j_ * usable_fraction_; }
-  [[nodiscard]] double drained_joules() const { return drained_j_; }
+  [[nodiscard]] double usable_joules() const { return usable_j_; }
   [[nodiscard]] double state_of_charge() const;
-  [[nodiscard]] bool depleted() const { return drained_j_ >= usable_joules(); }
+  [[nodiscard]] bool depleted() const { return drained_j_ >= usable_j_; }
 
   // --- online semantics (env::PowerSource drives these during a run) ---
 
@@ -40,8 +38,10 @@ class Battery {
   }
 
  private:
-  double capacity_j_;
-  double usable_fraction_;
+  /// Computed once, so that stored_joules() subtracts without a multiply
+  /// an FMA target could fuse into it: a drained battery then stores
+  /// exactly 0 J on every target.
+  double usable_j_;
   double drained_j_ = 0.0;
 };
 

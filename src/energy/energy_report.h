@@ -95,7 +95,6 @@ class EnergyReport {
   [[nodiscard]] double joules(Routine r) const { return routine_j_[index_of(r)]; }
   [[nodiscard]] double total_joules() const;
   [[nodiscard]] sim::Duration busy_time(Routine r) const { return busy_[index_of(r)]; }
-  [[nodiscard]] sim::Duration elapsed() const { return elapsed_; }
   [[nodiscard]] double average_watts() const;
 
   [[nodiscard]] const std::map<std::string, std::array<double, kRoutineCount>>& by_component()

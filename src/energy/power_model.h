@@ -31,10 +31,6 @@ struct CpuPowerSpec {
     const double joules = transition_w * light_wake_latency.to_seconds();
     return sim::Duration::from_seconds(joules / (active_w - light_sleep_w));
   }
-  [[nodiscard]] sim::Duration deep_sleep_breakeven() const {
-    const double joules = transition_w * deep_wake_latency.to_seconds();
-    return sim::Duration::from_seconds(joules / (active_w - deep_sleep_w));
-  }
 };
 
 /// The paper's quoted reference numbers (§III-A): break-even 1.14 ms.

@@ -64,8 +64,6 @@ class PowerStateMachine {
 
   [[nodiscard]] StateId state() const { return state_; }
   [[nodiscard]] Routine routine() const { return routine_; }
-  [[nodiscard]] double watts() const { return states_[state_].watts; }
-  [[nodiscard]] const PowerState& state_def(StateId id) const { return states_.at(id); }
   [[nodiscard]] ComponentId component() const { return component_; }
 
   /// Changes power state, closing the current segment.

@@ -12,9 +12,8 @@ namespace iotsim::env {
 
 /// How a sensor's §II-B Task-I availability check fails over time.
 enum class FaultModel : unsigned char {
-  /// Independent Bernoulli failures — byte-identical to the legacy
-  /// sensors::WorldConfig::sensor_fault_prob path (same draw sequence, same
-  /// short-circuit on a zero probability).
+  /// Independent Bernoulli failures (no draw at all on a zero
+  /// probability, the default of a hub without an environment).
   kIid = 0,
   /// Gilbert-Elliott two-state channel: long good stretches, correlated
   /// failure bursts. After the bounded retries all fail, the sample is lost.
@@ -78,8 +77,8 @@ struct PowerConfig {
 
 /// One hub's complete environment. Attach per hub via
 /// core::HubInstance::environment or scenario-wide via
-/// core::Scenario::environment. When attached, its fault profile replaces
-/// sensors::WorldConfig::sensor_fault_prob for that hub.
+/// core::Scenario::environment. A hub without one has mains power, never
+/// crashes and its sensors never fail.
 struct EnvironmentConfig {
   FaultProfileConfig faults;
   CrashConfig crash;

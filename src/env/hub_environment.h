@@ -59,8 +59,6 @@ class HubEnvironment {
   /// one — and therefore stays byte-identical to the legacy fault path.
   [[nodiscard]] bool needs_supervisor() const;
 
-  /// Current gate: false while the hub is crashed/rebooting or browned out.
-  [[nodiscard]] bool up() const { return up_; }
   /// True when the power source can deplete (battery/harvesting): the
   /// supervisor only flushes and reads the ledger for such hubs.
   [[nodiscard]] bool power_limited() const { return power_->finite(); }

@@ -29,7 +29,6 @@ sim::Task<void> InterruptController::wait_and_dispatch(IrqLine line, SleepPolicy
     co_await cpu_.wait_signal(ln.signal, policy, wait_attr, expected_gap);
   }
   --ln.pending;
-  ++dispatched_;
   co_await cpu_.execute(dispatch_cost_, energy::Routine::kInterrupt);
 }
 

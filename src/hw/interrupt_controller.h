@@ -26,7 +26,6 @@ class InterruptController {
                       sim::Duration dispatch_cost);
 
   [[nodiscard]] IrqLine allocate_line(std::string name);
-  [[nodiscard]] std::size_t line_count() const { return lines_.size(); }
 
   /// MCU side: asserts `line` (MCU busy for the raise cost, then the CPU
   /// waiter is signalled).
@@ -42,8 +41,6 @@ class InterruptController {
                                                   sim::Duration expected_gap);
 
   [[nodiscard]] std::uint64_t raised_count() const { return raised_; }
-  [[nodiscard]] std::uint64_t dispatched_count() const { return dispatched_; }
-  [[nodiscard]] int pending(IrqLine line) const { return lines_.at(line).pending; }
 
  private:
   struct Line {
@@ -60,7 +57,6 @@ class InterruptController {
   // across suspension points.
   std::deque<Line> lines_;
   std::uint64_t raised_ = 0;
-  std::uint64_t dispatched_ = 0;
 };
 
 }  // namespace iotsim::hw

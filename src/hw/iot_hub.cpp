@@ -9,8 +9,7 @@ IotHub::IotHub(sim::Simulator& sim, energy::EnergyAccountant& acct, HubSpec spec
                std::string name)
     : sim_{sim},
       acct_{acct},
-      name_{std::move(name)},
-      prefix_{name_.empty() ? std::string{} : name_ + "/"},
+      prefix_{name.empty() ? std::string{} : name + "/"},
       spec_{spec},
       cpu_{sim, acct, spec_.cpu, spec_.cpu_nominal_mips, prefix_ + "cpu"},
       mcu_{sim, acct, spec_.mcu, spec_.mcu_nominal_mips, spec_.mcu_available_ram(),

@@ -32,12 +32,10 @@ class IotHub {
   IotHub(sim::Simulator& sim, energy::EnergyAccountant& acct, HubSpec spec,
          std::string name = {});
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] const HubSpec& spec() const { return spec_; }
   [[nodiscard]] Cpu& cpu() { return cpu_; }
   [[nodiscard]] Mcu& mcu() { return mcu_; }
   [[nodiscard]] InterruptController& irq() { return irq_; }
-  [[nodiscard]] Bus& link() { return link_; }
   [[nodiscard]] Nic& main_nic() { return main_nic_; }
   [[nodiscard]] Nic& mcu_nic() { return mcu_nic_; }
 
@@ -69,8 +67,7 @@ class IotHub {
  private:
   sim::Simulator& sim_;
   energy::EnergyAccountant& acct_;
-  std::string name_;
-  std::string prefix_;  // "" or name_ + "/"; must precede the components
+  std::string prefix_;  // "" or name + "/"; must precede the components
   HubSpec spec_;
   Cpu cpu_;
   Mcu mcu_;

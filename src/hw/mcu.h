@@ -15,12 +15,8 @@ class Mcu : public Processor {
   Mcu(sim::Simulator& sim, energy::EnergyAccountant& acct, const energy::McuPowerSpec& spec,
       double nominal_mips, std::size_t available_ram_bytes, std::string name = "mcu");
 
-  /// RAM available to batching buffers / offloaded app state.
-  [[nodiscard]] std::size_t available_ram() const { return available_ram_; }
-
   /// Claims `bytes` of MCU RAM; returns false if it would overflow.
   [[nodiscard]] bool reserve_ram(std::size_t bytes);
-  [[nodiscard]] std::size_t reserved_ram() const { return reserved_; }
 
  private:
   std::size_t available_ram_;

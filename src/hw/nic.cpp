@@ -52,7 +52,7 @@ void Nic::enter_listen(energy::Routine attr) {
   psm_.set(kTail, attr);
 }
 
-sim::Task<bool> Nic::burst(std::size_t bytes, energy::PowerStateMachine::StateId state,
+sim::Task<void> Nic::burst(std::size_t bytes, energy::PowerStateMachine::StateId state,
                            energy::Routine attr) {
   co_await mutex_.acquire();
   sim::Duration air = wire_time(bytes);
@@ -64,10 +64,9 @@ sim::Task<bool> Nic::burst(std::size_t bytes, energy::PowerStateMachine::StateId
     if (contended) enter_listen(attr);
     const net::Grant grant = co_await medium_->acquire(attachment_, bytes, air);
     if (!grant.granted) {
-      ++bursts_dropped_;
       if (contended) arm_tail(attr);  // the radio listened; give it a tail
       mutex_.release();
-      co_return false;
+      co_return;
     }
     air = grant.airtime;
   }
@@ -75,19 +74,14 @@ sim::Task<bool> Nic::burst(std::size_t bytes, energy::PowerStateMachine::StateId
   co_await sim::Delay{air};
   arm_tail(attr);
   mutex_.release();
-  co_return true;
 }
 
 sim::Task<void> Nic::transmit(std::size_t bytes, energy::Routine attr) {
-  // NB: keep the co_await out of the if-condition — GCC destroys the
-  // temporary task before the await completes when it sits in a condition.
-  const bool sent = co_await burst(bytes, kTx, attr);
-  if (sent) bytes_sent_ += bytes;
+  return burst(bytes, kTx, attr);
 }
 
 sim::Task<void> Nic::receive(std::size_t bytes, energy::Routine attr) {
-  const bool received = co_await burst(bytes, kRx, attr);
-  if (received) bytes_received_ += bytes;
+  return burst(bytes, kRx, attr);
 }
 
 }  // namespace iotsim::hw

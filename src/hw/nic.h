@@ -57,15 +57,9 @@ class Nic {
   [[nodiscard]] sim::Task<void> receive(std::size_t bytes,
                                         energy::Routine attr = energy::Routine::kNetwork);
 
-  [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
-  [[nodiscard]] std::uint64_t bytes_received() const { return bytes_received_; }
-  /// Bursts the medium rejected (pending queue full). Dropped bursts move
-  /// no bytes and arm no tail beyond the listen already spent.
-  [[nodiscard]] std::uint64_t bursts_dropped() const { return bursts_dropped_; }
   /// Contention counters from the attached medium; nullptr if unattached.
   [[nodiscard]] const net::AirtimeStats* airtime_stats() const;
   [[nodiscard]] energy::PowerStateMachine& power() { return psm_; }
-  [[nodiscard]] const energy::NicPowerSpec& spec() const { return spec_; }
 
  private:
   static constexpr energy::PowerStateMachine::StateId kIdle = 0;
@@ -73,7 +67,9 @@ class Nic {
   static constexpr energy::PowerStateMachine::StateId kRx = 2;
   static constexpr energy::PowerStateMachine::StateId kTail = 3;
 
-  [[nodiscard]] sim::Task<bool> burst(std::size_t bytes, energy::PowerStateMachine::StateId state,
+  /// A burst the medium rejects (pending queue full) moves no bytes and
+  /// arms no tail beyond the listen already spent.
+  [[nodiscard]] sim::Task<void> burst(std::size_t bytes, energy::PowerStateMachine::StateId state,
                                       energy::Routine attr);
   void arm_tail(energy::Routine attr);
   void enter_listen(energy::Routine attr);
@@ -85,9 +81,6 @@ class Nic {
   sim::SimMutex mutex_;
   net::Medium* medium_ = nullptr;
   std::size_t attachment_ = 0;
-  std::uint64_t bytes_sent_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  std::uint64_t bursts_dropped_ = 0;
   std::uint64_t tail_generation_ = 0;
 };
 

@@ -88,12 +88,9 @@ class Processor {
   [[nodiscard]] sim::Task<void> wait_signal(sim::Signal& sig, SleepPolicy policy,
                                             energy::Routine attr, sim::Duration expected);
 
-  [[nodiscard]] double nominal_mips() const { return spec_.nominal_mips; }
-  [[nodiscard]] const ProcessorSpec& spec() const { return spec_; }
   [[nodiscard]] energy::PowerStateMachine& power() { return psm_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  [[nodiscard]] bool executing() const { return busy_depth_ > 0; }
   [[nodiscard]] bool asleep() const;
   [[nodiscard]] std::uint64_t wakeup_count() const { return wakeups_; }
 

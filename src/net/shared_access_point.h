@@ -78,8 +78,6 @@ class SharedAccessPoint final : public Medium {
   /// Requests registered and not yet arbitrated (windowed mode).
   [[nodiscard]] std::size_t pending_requests() const;
 
-  [[nodiscard]] const ApConfig& config() const { return cfg_; }
-
  private:
   struct Attachment {
     std::string name;

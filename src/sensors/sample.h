@@ -36,7 +36,6 @@ class Channels {
       : values_{static_cast<double>(values)...}, size_{sizeof...(Ts)} {}
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] double operator[](std::size_t i) const {
     assert(i < size_);
     return values_[i];
@@ -63,10 +62,6 @@ class Blob {
     if (!other.empty()) bytes_ = std::make_unique<Bytes>(*other.bytes_);
   }
   Blob(Blob&&) noexcept = default;
-  Blob& operator=(const Blob& other) {
-    if (this != &other) *this = Blob{other};
-    return *this;
-  }
   Blob& operator=(Blob&&) noexcept = default;
 
   /// Takes the buffer over as is; its spare capacity stays allocated.

@@ -71,7 +71,6 @@ class Sensor {
       : spec_{std::move(spec)}, generator_{std::move(generator)} {}
 
   [[nodiscard]] const SensorSpec& spec() const { return spec_; }
-  [[nodiscard]] SignalGenerator& generator() { return *generator_; }
 
   /// Performs the data-producing part of a read (the timing/energy cost is
   /// modeled by the runtime against the MCU and the sensor's PIO bus).
@@ -79,16 +78,12 @@ class Sensor {
     Sample s;
     s.time = t;
     generator_->generate(t, s);
-    ++reads_;
     return s;
   }
-
-  [[nodiscard]] std::uint64_t read_count() const { return reads_; }
 
  private:
   SensorSpec spec_;
   std::unique_ptr<SignalGenerator> generator_;
-  std::uint64_t reads_ = 0;
 };
 
 }  // namespace iotsim::sensors

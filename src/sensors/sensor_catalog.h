@@ -43,10 +43,6 @@ struct WorldConfig {
   double heart_bpm = 72.0;
   double heart_irregular_prob = 0.0;
   double walking_cadence_hz = 1.9;
-  /// Probability that a sensor's availability check fails and the driver
-  /// must retry (§II-B Task I: "Some of these checks may result in an
-  /// error, leading the MCU to stop reading").
-  double sensor_fault_prob = 0.0;
 };
 
 /// Builds a sensor with its generator; forks an independent RNG stream from

@@ -43,8 +43,6 @@ class AccelerometerSignal final : public SignalGenerator {
   AccelerometerSignal(Config cfg, sim::Rng rng) : cfg_{std::move(cfg)}, rng_{rng} {}
   void generate(sim::SimTime t, Sample& out) override;
 
-  [[nodiscard]] const Config& config() const { return cfg_; }
-
  private:
   Config cfg_;
   sim::Rng rng_;
@@ -124,7 +122,6 @@ class AudioSignal final : public SignalGenerator {
   /// recogniser templates.
   [[nodiscard]] static std::vector<double> keyword_waveform(int word_id, double sample_rate_hz,
                                                             double duration_s, double level);
-  [[nodiscard]] const Config& config() const { return cfg_; }
 
  private:
   Config cfg_;
@@ -161,12 +158,6 @@ class FingerprintSignal final : public SignalGenerator {
 
   FingerprintSignal(Config cfg, sim::Rng rng);
   void generate(sim::SimTime t, Sample& out) override;
-
-  /// The enrolled population's reference templates (for seeding the
-  /// matcher's database).
-  [[nodiscard]] const std::vector<codecs::fingerprint::Template>& enrolled() const {
-    return enrolled_;
-  }
 
  private:
   Config cfg_;

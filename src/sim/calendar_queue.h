@@ -40,7 +40,6 @@ class CalendarQueue final : public Scheduler {
   [[nodiscard]] SchedulerKind kind() const override { return SchedulerKind::kCalendar; }
 
   [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::int64_t bucket_width_ns() const { return width_ns_; }
 
  private:
   using Bucket = std::priority_queue<SchedEntry, std::vector<SchedEntry>, std::greater<>>;

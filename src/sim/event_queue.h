@@ -67,7 +67,6 @@ class InlineCallback {
   }
 
   void operator()() const { invoke_(storage_); }
-  explicit operator bool() const { return invoke_ != nullptr; }
 
  private:
   using Storage = std::array<std::byte, kCapacity>;

@@ -22,7 +22,6 @@ class JoinCounter {
     if (remaining_ > 0) co_await done_.wait();
   }
 
-  [[nodiscard]] int remaining() const { return remaining_; }
 
  private:
   int remaining_;

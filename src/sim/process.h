@@ -41,7 +41,8 @@ struct PromiseBase {
   std::exception_ptr exception{};
 
   static void* operator new(std::size_t size) { return frame_allocate(size); }
-  static void operator delete(void* p) noexcept { frame_free(p); }
+  // Coroutine frames are freed through the sized form: the language picks
+  // it whenever a promise declares one.
   static void operator delete(void* p, std::size_t) noexcept { frame_free(p); }
 };
 
@@ -83,13 +84,6 @@ class [[nodiscard]] Task {
   Task() = default;
   explicit Task(Handle h) : h_{h} {}
   Task(Task&& o) noexcept : h_{std::exchange(o.h_, nullptr)} {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      h_ = std::exchange(o.h_, nullptr);
-    }
-    return *this;
-  }
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
   ~Task() { destroy(); }
@@ -150,13 +144,6 @@ class [[nodiscard]] Task<void> {
   Task() = default;
   explicit Task(Handle h) : h_{h} {}
   Task(Task&& o) noexcept : h_{std::exchange(o.h_, nullptr)} {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      destroy();
-      h_ = std::exchange(o.h_, nullptr);
-    }
-    return *this;
-  }
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
   ~Task() { destroy(); }

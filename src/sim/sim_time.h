@@ -43,9 +43,7 @@ class Duration {
   friend constexpr Duration operator+(Duration a, Duration b) { return Duration{a.ns_ + b.ns_}; }
   friend constexpr Duration operator-(Duration a, Duration b) { return Duration{a.ns_ - b.ns_}; }
   friend constexpr Duration operator*(Duration a, std::int64_t k) { return Duration{a.ns_ * k}; }
-  friend constexpr Duration operator*(std::int64_t k, Duration a) { return Duration{a.ns_ * k}; }
   friend constexpr Duration operator/(Duration a, std::int64_t k) { return Duration{a.ns_ / k}; }
-  friend constexpr std::int64_t operator/(Duration a, Duration b) { return a.ns_ / b.ns_; }
   constexpr Duration& operator+=(Duration o) { ns_ += o.ns_; return *this; }
   constexpr Duration& operator-=(Duration o) { ns_ -= o.ns_; return *this; }
   friend constexpr auto operator<=>(Duration, Duration) = default;
@@ -75,12 +73,7 @@ class SimTime {
   friend constexpr SimTime operator+(SimTime t, Duration d) {
     return SimTime{t.ns_ + d.count_ns()};
   }
-  friend constexpr SimTime operator+(Duration d, SimTime t) { return t + d; }
-  friend constexpr SimTime operator-(SimTime t, Duration d) {
-    return SimTime{t.ns_ - d.count_ns()};
-  }
   friend constexpr Duration operator-(SimTime a, SimTime b) { return Duration::ns(a.ns_ - b.ns_); }
-  constexpr SimTime& operator+=(Duration d) { ns_ += d.count_ns(); return *this; }
   friend constexpr auto operator<=>(SimTime, SimTime) = default;
 
   [[nodiscard]] std::string to_string() const;

@@ -50,8 +50,7 @@ void Simulator::drain_until(SimTime horizon) {
 void Simulator::dispatch_loop(SimTime limit, bool settle_at_limit) {
   assert(!running_ && "re-entrant run()");
   running_ = true;
-  stop_requested_ = false;
-  while (!stop_requested_ && !queue_.empty()) {
+  while (!queue_.empty()) {
     if (queue_.next_time() > limit) {
       if (settle_at_limit) advance_to(limit);
       running_ = false;
@@ -62,8 +61,7 @@ void Simulator::dispatch_loop(SimTime limit, bool settle_at_limit) {
     ev.callback();
     ++dispatched_;
   }
-  if (settle_at_limit && queue_.empty() && limit != SimTime::infinite() && now_ < limit &&
-      !stop_requested_) {
+  if (settle_at_limit && queue_.empty() && limit != SimTime::infinite() && now_ < limit) {
     advance_to(limit);
   }
   running_ = false;

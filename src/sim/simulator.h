@@ -54,11 +54,11 @@ class Simulator {
   /// Takes ownership of a top-level process and launches it.
   void spawn(Task<void> task);
 
-  /// Runs until the event queue drains or stop() is called.
+  /// Runs until the event queue drains.
   void run();
 
-  /// Runs until the queue drains, stop() is called, or simulated time would
-  /// pass `deadline`; now() is advanced to `deadline` if the horizon is hit.
+  /// Runs until the queue drains or simulated time would pass `deadline`;
+  /// now() is advanced to `deadline` if the horizon is hit.
   void run_until(SimTime deadline);
 
   /// Dispatches every event with time <= `horizon`, leaving later events
@@ -67,10 +67,6 @@ class Simulator {
   /// run matches an uninterrupted run() exactly. Resumable: call again with
   /// a later horizon to continue.
   void drain_until(SimTime horizon);
-
-  /// Requests that run()/run_until()/drain_until() return after the current
-  /// event.
-  void stop() { stop_requested_ = true; }
 
   /// Kernel counters as one coherent snapshot.
   [[nodiscard]] SimulatorStats stats() const;
@@ -82,10 +78,6 @@ class Simulator {
 
   /// Rethrows the first exception stored by any completed process.
   void check_processes() const;
-
-  /// Pins the event queue's ordering structure. Test/bench hook; results
-  /// are identical for either kind.
-  void force_scheduler(SchedulerKind kind) { queue_.force_scheduler(kind); }
 
  private:
   void advance_to(SimTime t);
@@ -99,7 +91,6 @@ class Simulator {
   EventQueue queue_;
   std::vector<Task<void>> processes_;
   std::uint64_t dispatched_ = 0;
-  bool stop_requested_ = false;
   bool running_ = false;
 };
 

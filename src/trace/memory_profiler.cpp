@@ -8,7 +8,6 @@ namespace iotsim::trace {
 void MemoryProfiler::on_alloc(std::size_t bytes) {
   live_heap_ += bytes;
   peak_heap_ = std::max(peak_heap_, live_heap_);
-  ++alloc_count_;
 }
 
 void MemoryProfiler::on_free(std::size_t bytes) {

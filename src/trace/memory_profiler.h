@@ -26,14 +26,12 @@ class MemoryProfiler {
   [[nodiscard]] std::size_t peak_heap_bytes() const { return peak_heap_; }
   [[nodiscard]] std::size_t live_stack_bytes() const { return live_stack_; }
   [[nodiscard]] std::size_t peak_stack_bytes() const { return peak_stack_; }
-  [[nodiscard]] std::uint64_t allocation_count() const { return alloc_count_; }
 
  private:
   std::size_t live_heap_ = 0;
   std::size_t peak_heap_ = 0;
   std::size_t live_stack_ = 0;
   std::size_t peak_stack_ = 0;
-  std::uint64_t alloc_count_ = 0;
 };
 
 /// RAII marker for a kernel stack frame of known extent.

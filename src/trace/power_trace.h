@@ -25,7 +25,6 @@ class PowerTrace {
   void attach(energy::PowerStateMachine& machine, std::string name);
 
   [[nodiscard]] const std::vector<energy::PowerSegment>& segments() const { return segments_; }
-  [[nodiscard]] std::size_t segment_count() const { return segments_.size(); }
 
   /// Power of one component at time `t` (0 outside the trace).
   [[nodiscard]] double component_watts_at(energy::ComponentId c, sim::SimTime t) const;
@@ -39,8 +38,6 @@ class PowerTrace {
   /// Renders a Fig.-5-style per-component power-state timeline as ASCII.
   [[nodiscard]] std::string render_timeline(sim::SimTime begin, sim::SimTime end,
                                             std::size_t columns = 100) const;
-
-  void clear() { segments_.clear(); component_names_.clear(); }
 
  private:
   /// The result cache reconstructs recorded traces segment-for-segment

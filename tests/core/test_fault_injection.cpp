@@ -15,7 +15,7 @@ ScenarioResult run_with_faults(double prob, Scheme scheme = Scheme::kBaseline) {
   sc.app_ids = {AppId::kA2StepCounter};
   sc.scheme = scheme;
   sc.windows = 2;
-  sc.world.sensor_fault_prob = prob;
+  sc.environment.emplace().faults.fault_prob = prob;
   return run_scenario(sc);
 }
 

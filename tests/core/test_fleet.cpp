@@ -78,7 +78,7 @@ TEST(FleetResolve, HubSeedIsIdentityAtIndexZero) {
 
 TEST(FleetResolve, PerHubWorldOverrideAppliesOnlyToItsHub) {
   sensors::WorldConfig noisy;
-  noisy.sensor_fault_prob = 0.5;
+  noisy.heart_bpm = 88.0;
   HubInstance a;
   a.app_ids = {AppId::kA2StepCounter};
   a.world = noisy;
@@ -88,7 +88,7 @@ TEST(FleetResolve, PerHubWorldOverrideAppliesOnlyToItsHub) {
   const auto sc = Scenario::builder().add_hub(a).add_hub(b).build();
   const FleetView fleet = sc.fleet();
   ASSERT_EQ(fleet.size(), 2u);
-  EXPECT_DOUBLE_EQ(fleet.hub(0).world->sensor_fault_prob, 0.5);
+  EXPECT_DOUBLE_EQ(fleet.hub(0).world->heart_bpm, 88.0);
   EXPECT_EQ(fleet.hub(1).world, &sc.world);  // falls back to the scenario world
 }
 
@@ -98,7 +98,7 @@ TEST(FleetValidate, PerHubErrorsNameTheInstance) {
   bad_count.app_ids = {AppId::kA2StepCounter};
   bad_count.count = 0;
   sensors::WorldConfig bad_world;
-  bad_world.sensor_fault_prob = 2.0;
+  bad_world.heart_irregular_prob = 2.0;
   HubInstance bad_fault;
   bad_fault.app_ids = {AppId::kA5Blynk};
   bad_fault.world = bad_world;
@@ -112,7 +112,7 @@ TEST(FleetValidate, PerHubErrorsNameTheInstance) {
   ASSERT_EQ(errors.size(), 3u);
   EXPECT_EQ(errors[0].field, "hubs[0].app_ids");
   EXPECT_EQ(errors[1].field, "hubs[1].count");
-  EXPECT_EQ(errors[2].field, "hubs[2].world.sensor_fault_prob");
+  EXPECT_EQ(errors[2].field, "hubs[2].world.heart_irregular_prob");
 }
 
 TEST(FleetValidate, TopLevelAppsAndFleetAreMutuallyExclusive) {
@@ -278,9 +278,10 @@ TEST(FleetHarvest, HubReportsEqualABruteForceFilterOfTheLedgerByName) {
   // 12 hubs, so "hub1/" must not match hub10's and hub11's components.
   LedgerFleet fleet{12, /*scoped=*/true};
   std::size_t matched = 0;
-  for (const HubRuntime& hub : fleet.hubs) {
-    const HubResult hr = hub.harvest(fleet.acct, fleet.span);
-    const std::string prefix = hub.name() + "/";
+  for (std::size_t i = 0; i < fleet.hubs.size(); ++i) {
+    const HubResult hr = fleet.hubs[i].harvest(fleet.acct, fleet.span);
+    const std::string hub_name = "hub" + std::to_string(i);
+    const std::string prefix = hub_name + "/";
 
     std::map<std::string, std::array<double, energy::kRoutineCount>> rows;
     std::array<double, energy::kRoutineCount> routine_j{};
@@ -296,12 +297,12 @@ TEST(FleetHarvest, HubReportsEqualABruteForceFilterOfTheLedgerByName) {
         busy[r] += fleet.acct.busy_time(c, rt);
       }
     }
-    ASSERT_FALSE(rows.empty()) << hub.name();
+    ASSERT_FALSE(rows.empty()) << hub_name;
     matched += rows.size();
-    EXPECT_EQ(hr.energy.by_component(), rows) << hub.name();
+    EXPECT_EQ(hr.energy.by_component(), rows) << hub_name;
     for (auto rt : energy::kAllRoutines) {
-      EXPECT_EQ(hr.energy.joules(rt), routine_j[energy::index_of(rt)]) << hub.name();
-      EXPECT_EQ(hr.energy.busy_time(rt), busy[energy::index_of(rt)]) << hub.name();
+      EXPECT_EQ(hr.energy.joules(rt), routine_j[energy::index_of(rt)]) << hub_name;
+      EXPECT_EQ(hr.energy.busy_time(rt), busy[energy::index_of(rt)]) << hub_name;
     }
   }
   // Every component of the ledger belongs to exactly one hub.
@@ -318,11 +319,11 @@ TEST(FleetHarvest, SingleHubSliceIsTheWholeLedger) {
 }
 
 TEST(FleetRun, CountExpandedHubsDrawDistinctRngStreams) {
-  sensors::WorldConfig faulty;
-  faulty.sensor_fault_prob = 0.3;
+  env::EnvironmentConfig faulty;
+  faulty.faults.fault_prob = 0.3;
   HubInstance inst;
   inst.app_ids = {AppId::kA2StepCounter};
-  inst.world = faulty;
+  inst.environment = faulty;
   inst.count = 2;
 
   const auto r = run_scenario(Scenario::builder().windows(2).add_hub(inst).build());

@@ -49,14 +49,6 @@ TEST(ScenarioBuilder, SettersMapOntoFields) {
   EXPECT_DOUBLE_EQ(sc.mcu_speed_factor, 2.5);
 }
 
-TEST(ScenarioBuilder, AppAppendsIncrementally) {
-  const auto sc = Scenario::builder()
-                      .app(AppId::kA1CoapServer)
-                      .app(AppId::kA6Dropbox)
-                      .build();
-  EXPECT_EQ(sc.app_ids, (std::vector<AppId>{AppId::kA1CoapServer, AppId::kA6Dropbox}));
-}
-
 TEST(ScenarioValidate, WellFormedScenarioHasNoErrors) {
   const auto sc = Scenario::builder().apps({AppId::kA2StepCounter}).build();
   EXPECT_TRUE(sc.validate().empty());
@@ -105,15 +97,15 @@ TEST(ScenarioValidate, NonPositiveMcuSpeedFactor) {
 }
 
 TEST(ScenarioValidate, FaultProbabilityOutOfRange) {
-  sensors::WorldConfig world;
-  world.sensor_fault_prob = 1.5;
+  env::EnvironmentConfig environment;
+  environment.faults.fault_prob = 1.5;
   const auto errors = Scenario::builder()
                           .apps({AppId::kA2StepCounter})
-                          .world(world)
+                          .environment(environment)
                           .build()
                           .validate();
   ASSERT_EQ(errors.size(), 1u);
-  EXPECT_EQ(errors[0].field, "world.sensor_fault_prob");
+  EXPECT_EQ(errors[0].field, "environment.faults.fault_prob");
 }
 
 std::vector<std::string> fields(const std::vector<ScenarioError>& errors) {
@@ -156,6 +148,55 @@ TEST(ScenarioValidate, HubWorldOverrideIsCheckedWithItsPath) {
                           .build()
                           .validate();
   EXPECT_EQ(fields(errors), std::vector<std::string>{"hubs[1].world.heart_bpm"});
+}
+
+// Each bad HubSpec value is an error on its field path, for the single hub
+// and for a fleet template alike, and the run stops at validation: before
+// validation checked the spec, a main NIC at 0 B/s ran and reported
+// -7.1e10 J, and a NaN base power reported NaN J.
+TEST(ScenarioValidate, HubSpecIsCheckedWithItsPath) {
+  struct Row {
+    const char* field;
+    void (*mutate)(hw::HubSpec&);
+  };
+  const Row rows[] = {
+      {"main_nic.bytes_per_second", [](hw::HubSpec& h) { h.main_nic.bytes_per_second = 0.0; }},
+      {"mcu_nic.bytes_per_second", [](hw::HubSpec& h) { h.mcu_nic.bytes_per_second = -1.0; }},
+      {"main_board_base_w",
+       [](hw::HubSpec& h) { h.main_board_base_w = std::numeric_limits<double>::quiet_NaN(); }},
+      {"cpu.light_sleep_w", [](hw::HubSpec& h) { h.cpu.light_sleep_w = -0.1; }},
+      {"main_nic.tx_w",
+       [](hw::HubSpec& h) { h.main_nic.tx_w = std::numeric_limits<double>::infinity(); }},
+      {"transfer_per_byte",
+       [](hw::HubSpec& h) { h.transfer_per_byte = sim::Duration::from_us(-1.0); }},
+      {"cpu.deep_wake_latency",
+       [](hw::HubSpec& h) { h.cpu.deep_wake_latency = sim::Duration::from_ms(-1.0); }},
+      {"cpu_nominal_mips", [](hw::HubSpec& h) { h.cpu_nominal_mips = 0.0; }},
+      {"mcu_firmware_reserved",
+       [](hw::HubSpec& h) { h.mcu_firmware_reserved = h.mcu_ram_bytes + 1; }},
+  };
+  const std::vector<AppId> apps = {AppId::kA2StepCounter, AppId::kA4M2x};
+  for (const Row& row : rows) {
+    hw::HubSpec bad = hw::default_hub_spec();
+    row.mutate(bad);
+    const Scenario single = Scenario::builder().apps(apps).hub(bad).windows(2).build();
+    const Scenario fleet = Scenario::builder()
+                               .add_hub(hw::default_hub_spec(), apps)
+                               .add_hub(hw::default_hub_spec(), apps)
+                               .add_hub(bad, apps)
+                               .windows(2)
+                               .build();
+    EXPECT_EQ(fields(single.validate()), std::vector<std::string>{std::string{"hub."} + row.field});
+    EXPECT_EQ(fields(fleet.validate()),
+              std::vector<std::string>{std::string{"hubs[2].hub."} + row.field});
+    for (const Scenario* sc : {&single, &fleet}) {
+      const ScenarioResult r = run_scenario(*sc);
+      EXPECT_FALSE(r.ok()) << row.field;
+      EXPECT_EQ(r.energy.kernel().events_dispatched, 0u) << row.field;
+    }
+  }
+  EXPECT_TRUE(
+      Scenario::builder().apps(apps).hub(hw::default_hub_spec()).build().validate().empty());
 }
 
 TEST(ScenarioValidate, NegativeHeartRateNeverReachesPulseSignal) {

@@ -27,7 +27,6 @@ Scenario rich_scenario() {
   world.heart_bpm = 80.0;
   world.heart_irregular_prob = 0.1;
   world.walking_cadence_hz = 2.1;
-  world.sensor_fault_prob = 0.05;
 
   return Scenario::builder()
       .apps({AppId::kA2StepCounter, AppId::kA7Earthquake})
@@ -129,7 +128,6 @@ std::vector<Mutation> world_mutations(std::function<sensors::WorldConfig&(Scenar
       {"heart_irregular_prob",
        on([](sensors::WorldConfig& w) { w.heart_irregular_prob += 0.1; })},
       {"walking_cadence_hz", on([](sensors::WorldConfig& w) { w.walking_cadence_hz += 0.3; })},
-      {"sensor_fault_prob", on([](sensors::WorldConfig& w) { w.sensor_fault_prob += 0.02; })},
   };
 }
 

@@ -17,7 +17,7 @@ namespace {
 using apps::AppId;
 
 Scenario quick(AppId id, Scheme scheme, std::uint64_t seed = 42) {
-  return Scenario::builder().app(id).scheme(scheme).windows(1).seed(seed).build();
+  return Scenario::builder().apps({id}).scheme(scheme).windows(1).seed(seed).build();
 }
 
 // ---- scenario_key ---------------------------------------------------------
@@ -181,7 +181,6 @@ TEST(Sweep, ExplicitJobCountIsRespected) {
 
 TEST(ThreadPool, RunsEverySubmittedJob) {
   ThreadPool pool{4};
-  EXPECT_EQ(pool.size(), 4);
   std::atomic<int> count{0};
   for (int i = 0; i < 100; ++i) {
     pool.submit([&count] { count.fetch_add(1, std::memory_order_relaxed); });
@@ -214,8 +213,7 @@ TEST(ThreadPool, DrainsQueueOnDestruction) {
 }
 
 TEST(ThreadPool, ClampsNonPositiveThreadCount) {
-  ThreadPool pool{0};
-  EXPECT_GE(pool.size(), 1);
+  ThreadPool pool{0};  // clamped to one worker, or wait_idle() never returns
   std::atomic<bool> ran{false};
   pool.submit([&ran] { ran = true; });
   pool.wait_idle();

@@ -7,7 +7,6 @@ namespace {
 
 TEST(Battery, CapacityConversions) {
   Battery b{5.0, 1.0};  // 5 Wh fully usable
-  EXPECT_DOUBLE_EQ(b.capacity_joules(), 18000.0);
   EXPECT_DOUBLE_EQ(b.usable_joules(), 18000.0);
 }
 
@@ -31,7 +30,7 @@ TEST(Battery, ChargeFloorsAtZero) {
   Battery b{1.0, 1.0};
   (void)b.drain_clamped(10000.0);
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 0.0);
-  (void)b.recharge(b.capacity_joules());
+  (void)b.recharge(b.usable_joules());
   EXPECT_DOUBLE_EQ(b.state_of_charge(), 1.0);
 }
 

@@ -33,7 +33,6 @@ TEST(EnergyReport, TotalsAndAverages) {
   const auto r = sample_report();
   EXPECT_NEAR(r.total_joules(), 1.775, 1e-12);
   EXPECT_NEAR(r.average_watts(), 1.775, 1e-12);
-  EXPECT_EQ(r.elapsed(), Duration::sec(1));
 }
 
 TEST(EnergyReport, ComponentLookup) {

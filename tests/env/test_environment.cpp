@@ -1,7 +1,7 @@
-// Scenario-level contract of the environment layer: legacy equivalence of
-// the iid profile, crash/reboot determinism, online battery semantics and
-// the acceptance criterion of the sharded path — a fleet with crashing and
-// harvesting hubs serializes byte-identically at any shard count.
+// Scenario-level contract of the environment layer: crash/reboot
+// determinism, online battery semantics and the acceptance criterion of the
+// sharded path — a fleet with crashing and harvesting hubs serializes
+// byte-identically at any shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,45 +20,6 @@ core::ScenarioBuilder step_counter(Scheme scheme, int windows) {
       .apps({apps::AppId::kA2StepCounter})
       .scheme(scheme)
       .windows(windows);
-}
-
-// --- legacy equivalence ----------------------------------------------------
-
-// The iid fault profile must reproduce the pre-environment
-// world.sensor_fault_prob spelling bit-for-bit: same energy, same error and
-// interrupt counts, same span (the environment layer only *adds* the
-// availability section).
-TEST(Environment, IidProfileMatchesLegacyWorldSpelling) {
-  const double prob = 0.25;
-  env::EnvironmentConfig environment;
-  environment.faults.model = env::FaultModel::kIid;
-  environment.faults.fault_prob = prob;
-  const auto via_env =
-      core::run_scenario(step_counter(Scheme::kBaseline, 3).environment(environment).build());
-
-  sensors::WorldConfig world;
-  world.sensor_fault_prob = prob;
-  const auto via_world =
-      core::run_scenario(step_counter(Scheme::kBaseline, 3).world(world).build());
-
-  ASSERT_TRUE(via_env.ok());
-  ASSERT_TRUE(via_world.ok());
-  EXPECT_GT(via_env.sensor_read_errors, 0u);
-  EXPECT_EQ(via_env.total_joules(), via_world.total_joules());
-  EXPECT_EQ(via_env.sensor_read_errors, via_world.sensor_read_errors);
-  EXPECT_EQ(via_env.interrupts_raised, via_world.interrupts_raised);
-  EXPECT_EQ(via_env.cpu_wakeups, via_world.cpu_wakeups);
-  EXPECT_EQ(via_env.span.count_ns(), via_world.span.count_ns());
-
-  // The only observable difference: the env run reports a modeled
-  // availability section, the legacy run the always-up default.
-  ASSERT_EQ(via_env.hubs.size(), 1u);
-  EXPECT_TRUE(via_env.hubs[0].availability.modeled);
-  EXPECT_FALSE(via_env.hubs[0].availability.power_limited);
-  EXPECT_FALSE(via_world.hubs[0].availability.modeled);
-  EXPECT_TRUE(via_env.energy.availability().modeled);
-  EXPECT_EQ(via_env.energy.availability().hubs_modeled, 1u);
-  EXPECT_FALSE(via_world.energy.availability().modeled);
 }
 
 TEST(Environment, NoEnvironmentReportsAlwaysUp) {

@@ -39,11 +39,9 @@ TEST(InterruptController, RaiseThenDispatchRoundTrip) {
   f.sim.spawn(mcu_side());
   f.sim.run();
   EXPECT_EQ(f.irq.raised_count(), 1u);
-  EXPECT_EQ(f.irq.dispatched_count(), 1u);
   // 5 ms delay + 10 us raise + 100 us dispatch (CPU was busy-waiting: no
   // wake latency).
   EXPECT_NEAR(dispatched_at, 5.11, 1e-9);
-  EXPECT_EQ(f.irq.pending(line), 0);
 }
 
 TEST(InterruptController, PendingInterruptDispatchesWithoutWaiting) {
@@ -85,7 +83,6 @@ TEST(InterruptController, CountsManyInterrupts) {
   f.sim.spawn(cpu_side());
   f.sim.run();
   EXPECT_EQ(f.irq.raised_count(), static_cast<std::uint64_t>(kN));
-  EXPECT_EQ(f.irq.dispatched_count(), static_cast<std::uint64_t>(kN));
   // Dispatch cost accrues on the CPU under kInterrupt.
   EXPECT_EQ(f.acct.busy_time(0, Routine::kInterrupt), Duration::us(100) * kN);
   // Raise cost accrues on the MCU under kInterrupt.

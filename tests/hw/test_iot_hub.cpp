@@ -71,7 +71,7 @@ TEST(IotHub, PioBusesAreStableAndTraced) {
   sim.spawn(p());
   sim.run();
   hub.flush_power();
-  EXPECT_GT(trace.segment_count(), 0u);
+  EXPECT_FALSE(trace.segments().empty());
 }
 
 TEST(IotHub, ConservationAcrossAllComponents) {

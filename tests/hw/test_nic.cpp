@@ -44,7 +44,6 @@ TEST(Nic, TransmitChargesTxPlusTail) {
   nic.power().flush();
   // 100 ms tx at 1 W + 100 ms tail at rx_w 0.5 W.
   EXPECT_NEAR(acct.joules(0, Routine::kNetwork), 0.1 + 0.05, 1e-9);
-  EXPECT_EQ(nic.bytes_sent(), 100'000u);
 }
 
 TEST(Nic, BackToBackBurstsCoalesceTail) {
@@ -73,7 +72,6 @@ TEST(Nic, ReceiveUsesRxPower) {
   sim.run();
   nic.power().flush();
   EXPECT_NEAR(acct.joules(0, Routine::kNetwork), 0.5 * 0.2 + 0.5 * 0.1, 1e-9);
-  EXPECT_EQ(nic.bytes_received(), 200'000u);
 }
 
 TEST(Nic, IdleAfterTailExpires) {
@@ -128,8 +126,6 @@ TEST(Nic, ContentionWaitCoalescesWithAPendingTail) {
   EXPECT_EQ(b.airtime_stats()->grants, 2u);
   EXPECT_EQ(a.airtime_stats()->airtime_wait, Duration::ms(20));
   EXPECT_EQ(a.airtime_stats()->grants, 1u);
-  EXPECT_EQ(b.bytes_sent(), 70'000u);
-  EXPECT_EQ(a.bytes_sent(), 100'000u);
 }
 
 TEST(Nic, ReceiveArrivingExactlyAtTailExpiryRestartsTheRadio) {

@@ -262,8 +262,8 @@ ApConfig windowed_ap(std::int64_t window_ms = 10) {
 /// simulator to each reservation-window boundary, then arbitrate there,
 /// until no event or request is left.
 void run_windowed(sim::Simulator& sim, SharedAccessPoint& ap) {
-  const Duration window = ap.config().reservation_window;
-  for (SimTime boundary = SimTime::origin() + window;; boundary += window) {
+  const Duration window = windowed_ap().reservation_window;
+  for (SimTime boundary = SimTime::origin() + window;; boundary = boundary + window) {
     sim.drain_until(boundary);
     ap.arbitrate_window(boundary);
     if (sim.stats().pending_events == 0 && ap.pending_requests() == 0) return;

@@ -27,7 +27,7 @@ std::vector<std::uint8_t> bytes(std::initializer_list<std::uint8_t> list) { retu
 
 TEST(Channels, HoldTheAssignedValuesInOrder) {
   Channels ch;
-  EXPECT_TRUE(ch.empty());
+  EXPECT_EQ(ch.size(), 0u);
   EXPECT_EQ(ch.begin(), ch.end());
 
   ch = {1.5, -2.0, 9.81};
@@ -72,15 +72,8 @@ TEST(Blob, CopyIsDeepAndComparesEqual) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a.data(), b.data());
 
-  Blob c;
-  c = bytes({1});
-  c = a;
-  EXPECT_EQ(c, a);
-  EXPECT_NE(c.data(), a.data());
-
   a = bytes({10, 20, 30, 41});
   EXPECT_NE(a, b);
-  EXPECT_EQ(b, c);
   EXPECT_NE(a, Blob{});
   EXPECT_EQ(Blob{}, Blob{});
 }

@@ -74,14 +74,5 @@ TEST(SensorCatalog, WorldConfigShapesGenerators) {
   EXPECT_GT(in_quake, outside * 1.5);
 }
 
-TEST(SensorCatalog, ReadCountsTracked) {
-  sim::Rng rng{3};
-  auto sensor = make_sensor(SensorId::kS2Temperature, rng);
-  EXPECT_EQ(sensor->read_count(), 0u);
-  (void)sensor->read(sim::SimTime::origin());
-  (void)sensor->read(sim::SimTime::origin() + sim::Duration::ms(100));
-  EXPECT_EQ(sensor->read_count(), 2u);
-}
-
 }  // namespace
 }  // namespace iotsim::sensors

@@ -219,7 +219,6 @@ TEST(CameraSignal, FramesChangeOverTime) {
 
 TEST(FingerprintSignal, EmitsValidTemplates) {
   FingerprintSignal gen{{}, sim::Rng{10}};
-  EXPECT_EQ(gen.enrolled().size(), 8u);
   for (int i = 0; i < 20; ++i) {
     Sample s;
     gen.generate(SimTime::origin(), s);

@@ -95,11 +95,9 @@ TEST(EventQueue, CallbackStoresSixteenByteCapturesInline) {
   const std::int64_t add = 41;
   q.schedule(SimTime::from_ns(1), [target, add] { *target += add + 1; });
   EventQueue::Callback copy = q.pop().callback;
-  ASSERT_TRUE(copy);
   copy();
   copy();
   EXPECT_EQ(sum, 84);
-  EXPECT_FALSE(EventQueue::Callback{});
 }
 
 TEST(EventQueue, ManyEventsStressOrder) {

@@ -157,20 +157,6 @@ TEST(Simulator, RunUntilStopsAtHorizon) {
   EXPECT_EQ(sim.now(), SimTime::origin() + Duration::ms(35));
 }
 
-TEST(Simulator, StopAbortsRun) {
-  Simulator sim;
-  int fired = 0;
-  auto proc = [&]() -> Task<void> {
-    for (int i = 0; i < 100; ++i) {
-      co_await Delay{Duration::ms(1)};
-      if (++fired == 5) sim.stop();
-    }
-  };
-  sim.spawn(proc());
-  sim.run();
-  EXPECT_EQ(fired, 5);
-}
-
 TEST(Simulator, ExceptionIsCapturedAndRethrown) {
   Simulator sim;
   auto proc = []() -> Task<void> {

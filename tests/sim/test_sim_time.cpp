@@ -27,9 +27,7 @@ TEST(Duration, Arithmetic) {
   EXPECT_EQ(a + b, Duration::ms(5));
   EXPECT_EQ(a - b, Duration::ms(1));
   EXPECT_EQ(a * 4, Duration::ms(12));
-  EXPECT_EQ(4 * a, Duration::ms(12));
   EXPECT_EQ(a / 3, Duration::ms(1));
-  EXPECT_EQ(Duration::sec(1) / Duration::ms(1), 1000);
 }
 
 TEST(Duration, Comparisons) {
@@ -49,16 +47,8 @@ TEST(SimTime, OriginAndOffsets) {
   const auto t0 = SimTime::origin();
   const auto t1 = t0 + Duration::ms(10);
   EXPECT_EQ((t1 - t0), Duration::ms(10));
-  EXPECT_EQ(t1 - Duration::ms(10), t0);
   EXPECT_LT(t0, t1);
   EXPECT_LT(t1, SimTime::infinite());
-}
-
-TEST(SimTime, CompoundAssign) {
-  auto t = SimTime::origin();
-  t += Duration::sec(2);
-  EXPECT_DOUBLE_EQ(t.to_seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(t.to_ms(), 2000.0);
 }
 
 TEST(SimTime, ToString) {

@@ -40,7 +40,7 @@ struct Fixture {
 TEST(PowerTrace, RecordsSegments) {
   Fixture f;
   f.run_square_wave();
-  EXPECT_EQ(f.trace.segment_count(), 6u);
+  EXPECT_EQ(f.trace.segments().size(), 6u);
 }
 
 TEST(PowerTrace, JoulesBetweenMatchesAccountant) {

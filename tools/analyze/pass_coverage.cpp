@@ -3,7 +3,7 @@
 //
 //   * hash-coverage — the memoised scenario structs must feed
 //     scenario_key(). core/sweep.cpp memoises simulation results by a
-//     content hash of the Scenario (tag "iotSim05"). A field that exists on
+//     content hash of the Scenario (tag "iotSim06"). A field that exists on
 //     Scenario/HubInstance/ApConfig/EnvironmentConfig/… but is NOT folded
 //     into scenario_key() makes two different scenarios collide in the memo
 //     cache — the sweep silently returns the other scenario's energy
