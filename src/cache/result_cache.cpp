@@ -89,19 +89,25 @@ std::shared_ptr<const core::ScenarioResult> ResultCache::lookup(std::string_view
   // Envelope: magic/version/key/payload, CRC-32 over everything before it.
   if (bytes.size() < 4) return corrupt();
   const std::string_view body{bytes.data(), bytes.size() - 4};
-  ByteReader trailer{std::string_view{bytes}.substr(bytes.size() - 4)};
-  if (trailer.u32() != crc_of(body)) return corrupt();
+  std::uint32_t crc = 0;
+  ByteReader{std::string_view{bytes}.substr(bytes.size() - 4)}.u32(crc);
+  if (crc != crc_of(body)) return corrupt();
   ByteReader r{body};
-  if (r.u32() != kEntryMagic) return corrupt();
-  if (r.u32() != kEntryVersion) return corrupt();
-  const std::string stored_key = r.str();
+  std::uint32_t magic = 0;
+  std::uint32_t version = 0;
+  std::string stored_key;
+  r.u32(magic);
+  r.u32(version);
+  if (magic != kEntryMagic || version != kEntryVersion) return corrupt();
+  r.str(stored_key);
   if (!r.ok()) return corrupt();
   if (stored_key != key) {
     // Fingerprint collision: a different scenario lives at this path.
     misses_.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  const std::string payload = r.str();
+  std::string payload;
+  r.str(payload);
   if (!r.ok() || !r.at_end()) return corrupt();
   auto decoded = decode_result(payload);
   if (!decoded) return corrupt();

@@ -1,12 +1,11 @@
 #include "core/sweep.h"
 
-#include <bit>
-#include <cstring>
 #include <utility>
 #include <exception>
 #include <limits>
 #include <thread>
 
+#include "cache/binary_io.h"
 #include "cache/result_cache.h"
 #include "core/scenario_runner.h"
 #include "core/thread_pool.h"
@@ -14,27 +13,6 @@
 namespace iotsim::core {
 
 namespace {
-
-/// Appends primitives to a byte buffer in a fixed, platform-independent
-/// layout (little-endian integers, IEEE-754 bit patterns for doubles).
-class ByteSink {
- public:
-  void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
-
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void i32(std::int32_t v) { u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(v))); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-  void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void dur(sim::Duration d) { i64(d.count_ns()); }
-
-  [[nodiscard]] std::string take() && { return std::move(bytes_); }
-
- private:
-  std::string bytes_;
-};
 
 ScenarioResult invalid_result(const Scenario& sc, std::vector<ScenarioError> errors) {
   ScenarioResult r;
@@ -44,12 +22,12 @@ ScenarioResult invalid_result(const Scenario& sc, std::vector<ScenarioError> err
   return r;
 }
 
-void append_app_list(ByteSink& s, const std::vector<apps::AppId>& ids) {
+void append_app_list(cache::ByteWriter& s, const std::vector<apps::AppId>& ids) {
   s.size(ids.size());
-  for (apps::AppId id : ids) s.u8(static_cast<std::uint8_t>(id));
+  for (apps::AppId id : ids) s.enum_u8(id);
 }
 
-void append_world(ByteSink& s, const sensors::WorldConfig& w) {
+void append_world(cache::ByteWriter& s, const sensors::WorldConfig& w) {
   s.size(w.quakes.size());
   for (const auto& q : w.quakes) {
     s.f64(q.start_s);
@@ -59,15 +37,15 @@ void append_world(ByteSink& s, const sensors::WorldConfig& w) {
   s.size(w.utterances.size());
   for (const auto& u : w.utterances) {
     s.f64(u.start_s);
-    s.i32(u.word_id);
+    s.i64(u.word_id);
   }
   s.f64(w.heart_bpm);
   s.f64(w.heart_irregular_prob);
   s.f64(w.walking_cadence_hz);
 }
 
-void append_environment(ByteSink& s, const env::EnvironmentConfig& e) {
-  s.u8(static_cast<std::uint8_t>(e.faults.model));
+void append_environment(cache::ByteWriter& s, const env::EnvironmentConfig& e) {
+  s.enum_u8(e.faults.model);
   s.f64(e.faults.fault_prob);
   s.f64(e.faults.burst_enter_prob);
   s.f64(e.faults.burst_exit_prob);
@@ -76,8 +54,8 @@ void append_environment(ByteSink& s, const env::EnvironmentConfig& e) {
   s.f64(e.faults.degrade_per_hour);
   s.f64(e.faults.degrade_cap);
   s.f64(e.crash.crash_prob_per_window);
-  s.i32(e.crash.reboot_windows);
-  s.u8(static_cast<std::uint8_t>(e.power.model));
+  s.i64(e.crash.reboot_windows);
+  s.enum_u8(e.power.model);
   s.f64(e.power.battery_capacity_wh);
   s.f64(e.power.battery_usable_fraction);
   s.f64(e.power.initial_soc);
@@ -88,7 +66,7 @@ void append_environment(ByteSink& s, const env::EnvironmentConfig& e) {
   s.f64(e.power.harvest.phase_s);
 }
 
-void append_hub_spec(ByteSink& s, const hw::HubSpec& h) {
+void append_hub_spec(cache::ByteWriter& s, const hw::HubSpec& h) {
   s.f64(h.cpu.active_w);
   s.f64(h.cpu.busy_w);
   s.f64(h.cpu.light_sleep_w);
@@ -113,7 +91,7 @@ void append_hub_spec(ByteSink& s, const hw::HubSpec& h) {
   }
   s.f64(h.main_board_base_w);
   s.f64(h.mcu_board_base_w);
-  s.u8(h.dma_enabled ? 1 : 0);
+  s.boolean(h.dma_enabled);
   s.dur(h.dma_setup);
   s.dur(h.transfer_fixed_overhead);
   s.dur(h.transfer_per_byte);
@@ -133,33 +111,34 @@ std::string scenario_key(const Scenario& sc) {
   // hw::HubSpec, core::HubInstance and the energy::*PowerSpec structs (see
   // the note in core/scenario.h; tests/core/test_scenario_key.cpp mutates
   // every field). A version tag guards persisted keys against layout drift.
-  ByteSink s;
+  // 32-bit fields are written as i64 (8 bytes), as every tag so far has.
+  cache::ByteWriter s;
   s.u64(0x696F7453696D3036ull);  // "iotSim06": drops world.sensor_fault_prob
 
   append_app_list(s, sc.app_ids);
-  s.u8(static_cast<std::uint8_t>(sc.scheme));
-  s.i32(sc.windows);
+  s.enum_u8(sc.scheme);
+  s.i64(sc.windows);
   s.u64(sc.seed);
-  s.u8(sc.record_power_trace ? 1 : 0);
-  s.i32(sc.batch_flushes_per_window);
+  s.boolean(sc.record_power_trace);
+  s.i64(sc.batch_flushes_per_window);
   s.f64(sc.mcu_speed_factor);
 
   append_world(s, sc.world);
   append_hub_spec(s, sc.hub);
 
   // --- shared uplink ---
-  s.u8(sc.network.has_value() ? 1 : 0);
+  s.boolean(sc.network.has_value());
   if (sc.network) {
     s.f64(sc.network->bytes_per_second);
-    s.i32(sc.network->queue_depth);
-    s.u8(static_cast<std::uint8_t>(sc.network->backoff));
+    s.i64(sc.network->queue_depth);
+    s.enum_u8(sc.network->backoff);
     s.dur(sc.network->backoff_slot);
-    s.i32(sc.network->max_backoff_exponent);
+    s.i64(sc.network->max_backoff_exponent);
     s.dur(sc.network->reservation_window);
   }
 
   // --- environment (scenario-level default) ---
-  s.u8(sc.environment.has_value() ? 1 : 0);
+  s.boolean(sc.environment.has_value());
   if (sc.environment) append_environment(s, *sc.environment);
 
   // --- fleet ---
@@ -167,11 +146,11 @@ std::string scenario_key(const Scenario& sc) {
   for (const auto& inst : sc.hubs) {
     append_hub_spec(s, inst.hub);
     append_app_list(s, inst.app_ids);
-    s.u8(inst.world.has_value() ? 1 : 0);
+    s.boolean(inst.world.has_value());
     if (inst.world) append_world(s, *inst.world);
-    s.u8(inst.environment.has_value() ? 1 : 0);
+    s.boolean(inst.environment.has_value());
     if (inst.environment) append_environment(s, *inst.environment);
-    s.i32(inst.count);
+    s.i64(inst.count);
   }
 
   return std::move(s).take();

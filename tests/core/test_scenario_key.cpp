@@ -6,8 +6,10 @@
 // field, the coverage reminder in core/scenario.h applies).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/scenario.h"
@@ -358,6 +360,48 @@ TEST(ScenarioKey, IdenticalScenariosShareAKey) {
   EXPECT_EQ(scenario_key(rich_scenario()), scenario_key(rich_scenario()));
   EXPECT_EQ(scenario_key(fleet_scenario()), scenario_key(fleet_scenario()));
   EXPECT_EQ(scenario_key(networked_scenario()), scenario_key(networked_scenario()));
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ScenarioKey, BytesArePinnedToTheTag) {
+  // The key names every disk-cache entry, so its bytes may only move
+  // together with the version tag in scenario_key(). Each constant is the
+  // FNV-1a of the key under tag "iotSim06".
+  const Scenario single = Scenario::builder().apps({AppId::kA2StepCounter}).build();
+
+  Scenario windowed = fleet_scenario();
+  net::ApConfig ap;
+  ap.bytes_per_second = 2.5e5;
+  ap.queue_depth = 8;
+  ap.reservation_window = sim::Duration::ms(10);
+  windowed.network = ap;
+
+  Scenario overrides = fleet_scenario();
+  overrides.hubs[0].environment = rich_environment();
+  overrides.hubs[1].world = sensors::WorldConfig{};
+  overrides.hubs[1].environment = env::EnvironmentConfig{};
+
+  const struct {
+    const char* name;
+    const Scenario& scenario;
+    std::uint64_t fnv;
+  } pinned[] = {
+      {"default single hub", single, 0xcce20778cdaf6eb6ull},
+      {"fleet behind a windowed AP", windowed, 0xf29b3e27132d7103ull},
+      {"fleet with per-hub world and environment", overrides, 0xceb3cda2cc023265ull},
+  };
+  for (const auto& p : pinned) {
+    EXPECT_EQ(fnv1a(scenario_key(p.scenario)), p.fnv)
+        << p.name << ": the scenario_key() bytes changed; bump the tag and the constants together";
+  }
 }
 
 }  // namespace

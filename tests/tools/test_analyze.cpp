@@ -321,7 +321,7 @@ TEST(AnalyzeCodecRealTree, DeletingAnEncodedFieldLineFails) {
   const std::string codec =
       read_file(std::filesystem::path{IOTSIM_SRC_DIR} / "cache/result_codec.cpp");
   struct Probe {
-    const char* ref;   // the expression on the encode line
+    const char* ref;   // the expression on the walk line
     const char* name;  // the struct field the pass must report
   };
   // Probes picked from structs with unique field names — the pass is
@@ -337,7 +337,7 @@ TEST(AnalyzeCodecRealTree, DeletingAnEncodedFieldLineFails) {
     for (const auto& p : codec_tree_files()) {
       if (p.filename() == "result_codec.cpp") {
         units.push_back(
-            make_unit(p.generic_string(), drop_append_lines(codec, "w.", probe.ref)));
+            make_unit(p.generic_string(), drop_append_lines(codec, "ar.", probe.ref)));
       } else {
         units.push_back(unit_of(p));
       }

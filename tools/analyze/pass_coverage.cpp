@@ -22,11 +22,12 @@
 // struct definitions, and for any file defining a rule's root function, a
 // map of function name -> identifiers in its body. finish() computes the
 // identifiers *transitively reachable* from the root through same-file
-// helpers (append_world, encode_hub, ResultCodec::encode_report, …) and
-// reports every watched field whose name never occurs there. Reachability —
-// not a whole-file identifier grep — is the point: sweep.cpp also mentions
-// fields in invalid_result() and run(), and decode_result() mentions every
-// result field, yet deleting a hash or *encode* line must still fire. Blind
+// helpers (append_world, ResultCodec::walk, …) and reports every watched
+// field whose name never occurs there. Reachability — not a whole-file
+// identifier grep — is the point: sweep.cpp also mentions fields in
+// invalid_result() and run(), yet deleting a hash line must still fire. The
+// codec's one field walk per struct serves encode and decode alike, so the
+// codec rule covers decode_result() too. Blind
 // spot: fields spelled identically on two watched structs (e.g. cpu_wakeups
 // on ScenarioResult and HubResult) are covered if either line survives.
 #include <array>
