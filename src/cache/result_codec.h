@@ -10,9 +10,10 @@
 // Versioning discipline: bump kResultCodecVersion whenever the encoded
 // field set or layout changes. Old entries then decode as misses and are
 // rewritten; they never decode as garbage. The codec-coverage analyzer pass
-// (tools/analyze/pass_codec.cpp) enforces that every field of the result
-// structs reaches encode_result(), so a field added to ScenarioResult
-// without a codec (and version) update fails CI.
+// (tools/analyze/pass_coverage.cpp) enforces that every field of the result
+// structs reaches encode_result() — whose field walks also decode — so a
+// field added to ScenarioResult without a codec (and version) update fails
+// CI.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@
 namespace iotsim::cache {
 
 inline constexpr std::uint32_t kResultCodecMagic = 0x52436373;  // "scCR" little-endian
-inline constexpr std::uint32_t kResultCodecVersion = 1;
+inline constexpr std::uint32_t kResultCodecVersion = 2;
 
 /// Serialises the full result (energy report, per-hub sections, QoS, the
 /// optional power trace) with a CRC-32 integrity trailer.

@@ -29,24 +29,22 @@ void EnergyAccountant::add(const PowerSegment& seg) {
   IOTSIM_CHECK_GE(seg.watts, 0.0, "negative power for '%s' over [%s, %s]",
                   names_[seg.component].c_str(), seg.begin.to_string().c_str(),
                   seg.end.to_string().c_str());
-  auto& cell = ledger_[seg.component][index_of(seg.routine)];
-  cell.joules += seg.joules();
-  if (seg.busy) cell.time += seg.end - seg.begin;
+  ledger_[seg.component][index_of(seg.routine)] += seg.joules();
 }
 
 double EnergyAccountant::joules(ComponentId c, Routine r) const {
-  return ledger_.at(c)[index_of(r)].joules;
+  return ledger_.at(c)[index_of(r)];
 }
 
 double EnergyAccountant::component_joules(ComponentId c) const {
   double total = 0.0;
-  for (const auto& cell : ledger_.at(c)) total += cell.joules;
+  for (const double joules : ledger_.at(c)) total += joules;
   return total;
 }
 
 double EnergyAccountant::routine_joules(Routine r) const {
   double total = 0.0;
-  for (const auto& row : ledger_) total += row[index_of(r)].joules;
+  for (const auto& row : ledger_) total += row[index_of(r)];
   return total;
 }
 
@@ -71,10 +69,6 @@ void EnergyAccountant::check_conservation() const {
     IOTSIM_CHECK_GE(component_joules(c), 0.0, "component '%s' drained negative energy",
                     names_[c].c_str());
   }
-}
-
-sim::Duration EnergyAccountant::busy_time(ComponentId c, Routine r) const {
-  return ledger_.at(c)[index_of(r)].time;
 }
 
 }  // namespace iotsim::energy

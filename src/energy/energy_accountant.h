@@ -24,9 +24,6 @@ struct PowerSegment {
   sim::SimTime begin;
   sim::SimTime end;
   double watts;
-  /// True when the component was doing active work (not stalled/sleeping);
-  /// only busy time enters the paper's timing breakdowns (Fig. 8).
-  bool busy;
 
   [[nodiscard]] double joules() const { return watts * (end - begin).to_seconds(); }
 };
@@ -50,22 +47,14 @@ class EnergyAccountant {
   /// Grand total.
   [[nodiscard]] double total_joules() const;
 
-  /// Busy time attributed to (component, routine) — used for the paper's
-  /// timing breakdowns (Fig. 8).
-  [[nodiscard]] sim::Duration busy_time(ComponentId c, Routine r) const;
-
   /// Verifies the ledger invariant (Σ over components == Σ over routines,
   /// every component total non-negative) via IOTSIM_CHECK. No-cost when
   /// checks are disabled.
   void check_conservation() const;
 
  private:
-  struct Cell {
-    double joules = 0.0;
-    sim::Duration time = sim::Duration::zero();
-  };
   std::vector<std::string> names_;
-  std::vector<std::array<Cell, kRoutineCount>> ledger_;  // [component][routine]
+  std::vector<std::array<double, kRoutineCount>> ledger_;  // joules [component][routine]
 };
 
 }  // namespace iotsim::energy

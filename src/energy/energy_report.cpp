@@ -20,7 +20,6 @@ void EnergyReport::accumulate(EnergyReport& r, const EnergyAccountant& acct, Com
       IOTSIM_CHECK_GE(j, 0.0, "negative ledger cell for component '%s'", name.c_str());
       row[index_of(rt)] += j;
       r.routine_j_[index_of(rt)] += j;
-      r.busy_[index_of(rt)] += acct.busy_time(c, rt);
     }
   }
 }

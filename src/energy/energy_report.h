@@ -1,6 +1,6 @@
 // Aggregated results of a scenario run, in the shape the paper reports:
-// energy per routine (Figs. 3, 7, 9–12), busy time per routine (Fig. 8),
-// and normalisation/savings helpers.
+// energy per routine (Figs. 3, 7, 9–12) and normalisation/savings helpers.
+// Fig. 8's timing comes from core::AppResult::busy_per_window instead.
 #pragma once
 
 #include <array>
@@ -94,7 +94,6 @@ class EnergyReport {
 
   [[nodiscard]] double joules(Routine r) const { return routine_j_[index_of(r)]; }
   [[nodiscard]] double total_joules() const;
-  [[nodiscard]] sim::Duration busy_time(Routine r) const { return busy_[index_of(r)]; }
   [[nodiscard]] double average_watts() const;
 
   [[nodiscard]] const std::map<std::string, std::array<double, kRoutineCount>>& by_component()
@@ -140,7 +139,6 @@ class EnergyReport {
                          ComponentId end);
 
   std::array<double, kRoutineCount> routine_j_{};
-  std::array<sim::Duration, kRoutineCount> busy_{};
   std::map<std::string, std::array<double, kRoutineCount>> component_j_;
   sim::Duration elapsed_ = sim::Duration::zero();
   CongestionSummary congestion_;

@@ -45,8 +45,7 @@ void PowerStateMachine::close_segment() {
   IOTSIM_CHECK_GE(now, since_, "component '%s': segment would run backwards",
                   acct_.component_name(component_).c_str());
   if (now > since_) {
-    const PowerSegment seg{component_, routine_,          since_,
-                           now,        states_[state_].watts, states_[state_].busy_work};
+    const PowerSegment seg{component_, routine_, since_, now, states_[state_].watts};
     acct_.add(seg);
     for (auto& l : listeners_) l(seg);
   }

@@ -24,8 +24,6 @@ namespace iotsim::energy {
 struct PowerState {
   std::string name;
   double watts = 0.0;
-  /// Active work (enters busy-time accounting) vs. waiting/sleeping.
-  bool busy_work = false;
 };
 
 /// Optional legality constraint for state changes. Owners that know their

@@ -12,7 +12,7 @@ Bus::Bus(sim::Simulator& sim, energy::EnergyAccountant& acct, std::string name,
       psm_{sim,
            acct,
            acct.register_component(name_),
-           {{"idle", spec.idle_w, false}, {"active", spec.active_w, true}},
+           {{"idle", spec.idle_w}, {"active", spec.active_w}},
            kIdle} {}
 
 sim::Task<void> Bus::occupy(sim::Duration d, energy::Routine attr) {

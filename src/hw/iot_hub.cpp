@@ -21,12 +21,12 @@ IotHub::IotHub(sim::Simulator& sim, energy::EnergyAccountant& acct, HubSpec spec
       main_base_{sim,
                  acct,
                  acct.register_component(prefix_ + "main_board_base"),
-                 {{"on", spec_.main_board_base_w, false}},
+                 {{"on", spec_.main_board_base_w}},
                  0},
       mcu_base_{sim,
                 acct,
                 acct.register_component(prefix_ + "mcu_board_base"),
-                {{"on", spec_.mcu_board_base_w, false}},
+                {{"on", spec_.mcu_board_base_w}},
                 0} {}
 
 Bus& IotHub::add_pio_bus(const std::string& sensor_name) {

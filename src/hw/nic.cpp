@@ -14,10 +14,10 @@ Nic::Nic(sim::Simulator& sim, energy::EnergyAccountant& acct, std::string name,
       psm_{sim,
            acct,
            acct.register_component(name_),
-           {{"idle", spec.idle_w, false},
-            {"tx", spec.tx_w, true},
-            {"rx", spec.rx_w, true},
-            {"tail", spec.rx_w, false}},
+           {{"idle", spec.idle_w},
+            {"tx", spec.tx_w},
+            {"rx", spec.rx_w},
+            {"tail", spec.rx_w}},
            kIdle} {}
 
 void Nic::attach_medium(net::Medium& medium, sim::Rng backoff_rng, std::size_t slot) {

@@ -57,16 +57,16 @@ energy::TransitionTable Processor::build_transition_table() const {
 std::vector<energy::PowerState> Processor::build_states() const {
   std::vector<energy::PowerState> states;
   const double busy_w = spec_.busy_w > 0.0 ? spec_.busy_w : spec_.active_w;
-  states.push_back({"busy", busy_w, true});
-  states.push_back({"wait", spec_.active_w, false});
+  states.push_back({"busy", busy_w});
+  states.push_back({"wait", spec_.active_w});
   double transition_w = spec_.active_w;
   if (!spec_.sleep_modes.empty()) {
     transition_w = spec_.sleep_modes.front().transition_w;
     for (const auto& m : spec_.sleep_modes) transition_w = std::max(transition_w, m.transition_w);
   }
-  states.push_back({"transition", transition_w, false});
+  states.push_back({"transition", transition_w});
   for (std::size_t i = 0; i < spec_.sleep_modes.size(); ++i) {
-    states.push_back({"sleep" + std::to_string(i), spec_.sleep_modes[i].watts, false});
+    states.push_back({"sleep" + std::to_string(i), spec_.sleep_modes[i].watts});
   }
   return states;
 }

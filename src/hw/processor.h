@@ -3,7 +3,7 @@
 // A Processor is an exclusive execution resource (FIFO SimMutex) with a
 // power-state machine:
 //
-//   ActiveBusy — executing work (busy time accounted, Fig. 8)
+//   ActiveBusy — executing work
 //   ActiveWait — powered but stalled (the baseline's per-sample stall, §II-C)
 //   Sleep modes (shallow→deep) — entered only while idle, policy-limited
 //   Transition — waking up (latency + energy, the §III-A 4 mJ overhead)

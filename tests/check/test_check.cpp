@@ -146,8 +146,7 @@ TEST(Invariants, BackwardsSegmentFires) {
                            energy::Routine::kIdle,
                            sim::SimTime::from_ns(100),
                            sim::SimTime::from_ns(50),
-                           1.0,
-                           false};
+                           1.0};
   EXPECT_THROW(acct.add(seg), CheckFailure);
 }
 
@@ -159,8 +158,7 @@ TEST(Invariants, NegativeWattageFires) {
                            energy::Routine::kIdle,
                            sim::SimTime::from_ns(0),
                            sim::SimTime::from_ns(50),
-                           -2.0,
-                           false};
+                           -2.0};
   EXPECT_THROW(acct.add(seg), CheckFailure);
 }
 
@@ -169,9 +167,9 @@ TEST(Invariants, ConservationHoldsOnHealthyLedger) {
   const auto a = acct.register_component("a");
   const auto b = acct.register_component("b");
   acct.add({a, energy::Routine::kComputation, sim::SimTime::from_ns(0),
-            sim::SimTime::from_ns(1'000'000), 1.5, true});
+            sim::SimTime::from_ns(1'000'000), 1.5});
   acct.add({b, energy::Routine::kIdle, sim::SimTime::from_ns(0),
-            sim::SimTime::from_ns(2'000'000), 0.25, false});
+            sim::SimTime::from_ns(2'000'000), 0.25});
   EXPECT_NO_THROW(acct.check_conservation());
 }
 
@@ -181,7 +179,7 @@ TEST(Invariants, IllegalPowerTransitionFires) {
   energy::EnergyAccountant acct;
   const auto id = acct.register_component("dev");
   energy::PowerStateMachine psm{
-      sim, acct, id, {{"off", 0.0, false}, {"warm", 0.5, false}, {"on", 2.0, true}}, 0};
+      sim, acct, id, {{"off", 0.0}, {"warm", 0.5}, {"on", 2.0}}, 0};
   energy::TransitionTable table{3};
   table.allow(0, 1).allow(1, 2).allow(2, 1).allow(1, 0);  // off <-> warm <-> on
   psm.set_transition_table(std::move(table));
@@ -201,7 +199,7 @@ TEST(Invariants, TransitionTableSizeMismatchFires) {
   sim::Simulator sim;
   energy::EnergyAccountant acct;
   const auto id = acct.register_component("dev");
-  energy::PowerStateMachine psm{sim, acct, id, {{"a", 0.0, false}, {"b", 1.0, true}}, 0};
+  energy::PowerStateMachine psm{sim, acct, id, {{"a", 0.0}, {"b", 1.0}}, 0};
   EXPECT_THROW(psm.set_transition_table(energy::TransitionTable{5}), CheckFailure);
 }
 

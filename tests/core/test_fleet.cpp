@@ -285,7 +285,6 @@ TEST(FleetHarvest, HubReportsEqualABruteForceFilterOfTheLedgerByName) {
 
     std::map<std::string, std::array<double, energy::kRoutineCount>> rows;
     std::array<double, energy::kRoutineCount> routine_j{};
-    std::array<sim::Duration, energy::kRoutineCount> busy{};
     for (energy::ComponentId c = 0; c < fleet.acct.component_count(); ++c) {
       const std::string& name = fleet.acct.component_name(c);
       if (name.compare(0, prefix.size(), prefix) != 0) continue;
@@ -294,7 +293,6 @@ TEST(FleetHarvest, HubReportsEqualABruteForceFilterOfTheLedgerByName) {
         const auto r = energy::index_of(rt);
         row[r] += fleet.acct.joules(c, rt);
         routine_j[r] += fleet.acct.joules(c, rt);
-        busy[r] += fleet.acct.busy_time(c, rt);
       }
     }
     ASSERT_FALSE(rows.empty()) << hub_name;
@@ -302,7 +300,6 @@ TEST(FleetHarvest, HubReportsEqualABruteForceFilterOfTheLedgerByName) {
     EXPECT_EQ(hr.energy.by_component(), rows) << hub_name;
     for (auto rt : energy::kAllRoutines) {
       EXPECT_EQ(hr.energy.joules(rt), routine_j[energy::index_of(rt)]) << hub_name;
-      EXPECT_EQ(hr.energy.busy_time(rt), busy[energy::index_of(rt)]) << hub_name;
     }
   }
   // Every component of the ledger belongs to exactly one hub.

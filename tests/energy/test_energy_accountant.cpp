@@ -8,14 +8,12 @@ namespace {
 using sim::Duration;
 using sim::SimTime;
 
-PowerSegment seg(ComponentId c, Routine r, double t0_ms, double t1_ms, double w,
-                 bool busy = true) {
+PowerSegment seg(ComponentId c, Routine r, double t0_ms, double t1_ms, double w) {
   return PowerSegment{c,
                       r,
                       SimTime::origin() + Duration::from_ms(t0_ms),
                       SimTime::origin() + Duration::from_ms(t1_ms),
-                      w,
-                      busy};
+                      w};
 }
 
 TEST(EnergyAccountant, RegistersComponents) {
@@ -39,8 +37,8 @@ TEST(EnergyAccountant, AccumulatesAcrossSegments) {
   const auto cpu = acct.register_component("cpu");
   acct.add(seg(cpu, Routine::kInterrupt, 0, 100, 1.0));
   acct.add(seg(cpu, Routine::kInterrupt, 200, 300, 1.0));
-  EXPECT_DOUBLE_EQ(acct.joules(cpu, Routine::kInterrupt), 0.2);
-  EXPECT_EQ(acct.busy_time(cpu, Routine::kInterrupt), Duration::ms(200));
+  // 1 W over two 100 ms segments: the 100 ms gap between them is not billed.
+  EXPECT_DOUBLE_EQ(acct.joules(cpu, Routine::kInterrupt), 1.0 * 0.2);
 }
 
 TEST(EnergyAccountant, ConservationAcrossRoutines) {
@@ -68,12 +66,13 @@ TEST(EnergyAccountant, RoutineTotalsSpanComponents) {
   EXPECT_DOUBLE_EQ(acct.routine_joules(Routine::kDataTransfer), 3.0);
 }
 
-TEST(EnergyAccountant, NonBusySegmentsExcludedFromBusyTime) {
+TEST(EnergyAccountant, EachSegmentAddsWattsTimesItsDuration) {
   EnergyAccountant acct;
   const auto cpu = acct.register_component("cpu");
-  acct.add(seg(cpu, Routine::kDataTransfer, 0, 100, 1.0, /*busy=*/false));
-  acct.add(seg(cpu, Routine::kDataTransfer, 100, 150, 1.0, /*busy=*/true));
-  EXPECT_EQ(acct.busy_time(cpu, Routine::kDataTransfer), Duration::ms(50));
+  acct.add(seg(cpu, Routine::kDataTransfer, 0, 100, 1.0));
+  const double first = acct.joules(cpu, Routine::kDataTransfer);
+  acct.add(seg(cpu, Routine::kDataTransfer, 100, 150, 1.0));
+  EXPECT_NEAR(acct.joules(cpu, Routine::kDataTransfer) - first, 1.0 * 0.05, 1e-12);
   EXPECT_DOUBLE_EQ(acct.joules(cpu, Routine::kDataTransfer), 0.15);
 }
 

@@ -8,14 +8,12 @@ namespace {
 using sim::Duration;
 using sim::SimTime;
 
-PowerSegment seg(ComponentId c, Routine r, double t0_ms, double t1_ms, double w,
-                 bool busy = true) {
+PowerSegment seg(ComponentId c, Routine r, double t0_ms, double t1_ms, double w) {
   return PowerSegment{c,
                       r,
                       SimTime::origin() + Duration::from_ms(t0_ms),
                       SimTime::origin() + Duration::from_ms(t1_ms),
-                      w,
-                      busy};
+                      w};
 }
 
 EnergyReport sample_report() {
@@ -25,7 +23,7 @@ EnergyReport sample_report() {
   acct.add(seg(cpu, Routine::kDataTransfer, 0, 500, 2.0));   // 1.0 J
   acct.add(seg(cpu, Routine::kComputation, 500, 750, 2.0));  // 0.5 J
   acct.add(seg(nic, Routine::kNetwork, 0, 250, 1.0));        // 0.25 J
-  acct.add(seg(cpu, Routine::kIdle, 750, 1000, 0.1, false)); // 0.025 J
+  acct.add(seg(cpu, Routine::kIdle, 750, 1000, 0.1));        // 0.025 J
   return EnergyReport::from_accountant(acct, Duration::sec(1));
 }
 
@@ -54,10 +52,10 @@ TEST(EnergyReport, NetworkFoldsIntoComputation) {
   EXPECT_NEAR(r.paper_joules(Routine::kDataTransfer), 1.0, 1e-12);
 }
 
-TEST(EnergyReport, BusyTimeExcludesIdle) {
+TEST(EnergyReport, RoutineJoulesAreWattsTimesSegmentTime) {
   const auto r = sample_report();
-  EXPECT_EQ(r.busy_time(Routine::kDataTransfer), Duration::ms(500));
-  EXPECT_EQ(r.busy_time(Routine::kIdle), Duration::zero());
+  EXPECT_NEAR(r.joules(Routine::kDataTransfer), 2.0 * 0.5, 1e-12);
+  EXPECT_NEAR(r.joules(Routine::kIdle), 0.1 * 0.25, 1e-12);
 }
 
 TEST(EnergyReport, SavingsAndNormalisation) {

@@ -19,7 +19,7 @@ struct Fixture {
   PowerStateMachine psm{sim,
                         acct,
                         id,
-                        {{"sleep", 0.1, false}, {"active", 2.0, true}},
+                        {{"sleep", 0.1}, {"active", 2.0}},
                         0};
 };
 
@@ -72,18 +72,18 @@ TEST(PowerStateMachine, RoutineChangeSplitsAttribution) {
   EXPECT_NEAR(f.acct.joules(f.id, Routine::kDataTransfer), 0.6, 1e-12);
 }
 
-TEST(PowerStateMachine, BusyFlagFollowsStateDefinition) {
+TEST(PowerStateMachine, EachStateBooksItsOwnWatts) {
   Fixture f;
   auto proc = [&]() -> Task<void> {
-    f.psm.set(1, Routine::kComputation);  // busy state
+    f.psm.set(1, Routine::kComputation);  // active, 2 W
     co_await sim::Delay{Duration::ms(100)};
-    f.psm.set(0, Routine::kComputation);  // sleep, not busy
+    f.psm.set(0, Routine::kComputation);  // sleep, 0.1 W
     co_await sim::Delay{Duration::ms(100)};
     f.psm.flush();
   };
   f.sim.spawn(proc());
   f.sim.run();
-  EXPECT_EQ(f.acct.busy_time(f.id, Routine::kComputation), Duration::ms(100));
+  EXPECT_NEAR(f.acct.joules(f.id, Routine::kComputation), 2.0 * 0.1 + 0.1 * 0.1, 1e-12);
 }
 
 TEST(PowerStateMachine, ListenerSeesSegments) {

@@ -83,10 +83,12 @@ TEST(InterruptController, CountsManyInterrupts) {
   f.sim.spawn(cpu_side());
   f.sim.run();
   EXPECT_EQ(f.irq.raised_count(), static_cast<std::uint64_t>(kN));
-  // Dispatch cost accrues on the CPU under kInterrupt.
-  EXPECT_EQ(f.acct.busy_time(0, Routine::kInterrupt), Duration::us(100) * kN);
-  // Raise cost accrues on the MCU under kInterrupt.
-  EXPECT_EQ(f.acct.busy_time(1, Routine::kInterrupt), Duration::us(10) * kN);
+  // Dispatch cost accrues on the CPU (2 W) under kInterrupt.
+  EXPECT_NEAR(f.acct.joules(0, Routine::kInterrupt), 2.0 * (Duration::us(100) * kN).to_seconds(),
+              1e-12);
+  // Raise cost accrues on the MCU (1 W) under kInterrupt.
+  EXPECT_NEAR(f.acct.joules(1, Routine::kInterrupt), 1.0 * (Duration::us(10) * kN).to_seconds(),
+              1e-12);
 }
 
 TEST(InterruptController, SeparateLinesAreIndependent) {

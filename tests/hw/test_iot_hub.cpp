@@ -49,9 +49,18 @@ TEST(IotHub, TransferOccupiesCpuMcuAndLink) {
   // the start of the joint transfer.
   EXPECT_NEAR(done_at, expected_ms + hub.spec().cpu.deep_wake_latency.to_ms(), 1e-6);
 
-  // CPU and MCU busy times match the transfer duration.
-  EXPECT_NEAR(acct.busy_time(0, Routine::kDataTransfer).to_ms(), expected_ms, 1e-6);
-  EXPECT_NEAR(acct.busy_time(1, Routine::kDataTransfer).to_ms(), expected_ms, 1e-6);
+  // CPU and MCU each bill their wake, then the transfer duration at busy
+  // power, to DataTransfer.
+  const auto& spec = hub.spec();
+  const double transfer_s = expected_ms / 1e3;
+  EXPECT_NEAR(acct.joules(0, Routine::kDataTransfer),
+              spec.cpu.transition_w * spec.cpu.deep_wake_latency.to_seconds() +
+                  spec.cpu.busy_w * transfer_s,
+              1e-9);
+  EXPECT_NEAR(acct.joules(1, Routine::kDataTransfer),
+              spec.mcu.transition_w * spec.mcu.wake_latency.to_seconds() +
+                  spec.mcu.active_w * transfer_s,
+              1e-9);
 }
 
 TEST(IotHub, PioBusesAreStableAndTraced) {

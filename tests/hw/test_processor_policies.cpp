@@ -197,8 +197,13 @@ TEST(DmaTransfer, CpuSleepsDuringWireTime) {
   sim.spawn(proc());
   sim.run();
   hub.flush_power();
-  // CPU busy only for the DMA setup, not the wire time.
-  EXPECT_LT(acct.busy_time(0, Routine::kDataTransfer), sim::Duration::from_ms(1.0));
+  // CPU busy only for the DMA setup, not the wire time: its DataTransfer
+  // bill is its wake, under 1 ms at busy power, and light sleep at most for
+  // the rest of the transfer.
+  EXPECT_LT(acct.joules(0, Routine::kDataTransfer),
+            spec.cpu.transition_w * spec.cpu.deep_wake_latency.to_seconds() +
+                spec.cpu.busy_w * sim::Duration::from_ms(1.0).to_seconds() +
+                spec.cpu.light_sleep_w * spec.transfer_time(12000).to_seconds());
   // The MCU was never involved.
   EXPECT_NEAR(acct.joules(1, Routine::kDataTransfer), 0.0, 1e-12);
 }

@@ -17,7 +17,7 @@ struct Fixture {
   sim::Simulator sim;
   EnergyAccountant acct;
   energy::ComponentId id = acct.register_component("dev");
-  PowerStateMachine psm{sim, acct, id, {{"off", 0.0, false}, {"on", 3.0, true}}, 0};
+  PowerStateMachine psm{sim, acct, id, {{"off", 0.0}, {"on", 3.0}}, 0};
   PowerTrace trace;
 
   Fixture() { trace.attach(psm, "dev"); }

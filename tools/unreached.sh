@@ -44,7 +44,6 @@ iotsim::codecs::util::(anonymous namespace)::build_reverse() | test oracle: the 
 iotsim::codecs::util::base64_decode(std::basic_string_view<char, std::char_traits<char> >) | test oracle: base64 encode round-trip and robustness
 iotsim::core::SweepRunner::cache_size() const | test oracle: the memo holds each distinct scenario once, nothing when off
 iotsim::dsp::ifft(std::span<std::complex<double>, 18446744073709551615ul>) | test oracle: FFT round-trip
-iotsim::energy::EnergyReport::busy_time(iotsim::energy::Routine) const | test oracle: a hub's busy-time slice equals the ledger's
 iotsim::energy::McuPowerSpec::sleep_breakeven() const | test oracle: the default MCU can nap between 1 kHz samples
 iotsim::energy::PowerStateMachine::routine() const | test oracle: the routine a processor's time is billed to
 iotsim::env::GilbertElliottFaultProfile::in_burst() const | test oracle: the Gilbert-Elliott channel's hidden state
