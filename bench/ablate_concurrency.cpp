@@ -33,7 +33,9 @@ int main(int argc, char** argv) {
     for (auto scheme : schemes) {
       const auto r = session.run(ids, scheme);
       sim::Duration worst = sim::Duration::zero();
-      for (const auto& [id, res] : r.apps) worst = std::max(worst, res.qos.worst_latency);
+      for (const auto& [id, res] : r.hubs.front().apps) {
+        worst = std::max(worst, res.qos.worst_latency);
+      }
       t.add_row({bench::combo_name(ids), std::string{to_string(scheme)},
                  TP::num(static_cast<double>(r.interrupts_raised) / r.span.to_seconds(), 4),
                  TP::num(r.total_joules(), 4), TP::num(worst.to_ms(), 4),

@@ -26,13 +26,14 @@ int main(int argc, char** argv) {
 
   const auto base = session.run({apps::AppId::kA2StepCounter}, core::Scheme::kBaseline);
   const double base_busy_ms =
-      base.apps.at(apps::AppId::kA2StepCounter).busy_per_window.total().to_ms();
+      base.hubs.front().apps.at(apps::AppId::kA2StepCounter).busy_per_window.total().to_ms();
 
   trace::TablePrinter t{{"MCU kernel time", "COM busy (ms)", "Speedup", "Energy (mJ)",
                          "Savings", "QoS"}};
   for (double factor : kFactors) {
     const auto r = session.run(com_at(factor));
-    const double busy_ms = r.apps.at(apps::AppId::kA2StepCounter).busy_per_window.total().to_ms();
+    const double busy_ms =
+        r.hubs.front().apps.at(apps::AppId::kA2StepCounter).busy_per_window.total().to_ms();
     using TP = trace::TablePrinter;
     t.add_row({TP::num(factor, 3) + "x (" +
                    TP::num(apps::spec_of(apps::AppId::kA2StepCounter).mcu_compute.to_ms() * factor,

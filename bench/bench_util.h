@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/result_cache.h"
 #include "core/scenario_runner.h"
 #include "core/sweep.h"
 #include "trace/ascii_chart.h"
@@ -125,9 +126,11 @@ class Session {
     // Diagnostics go to stderr so table/CSV output on stdout stays
     // byte-identical across --jobs values (and across cold/warm cache runs).
     const auto& s = sweep_.stats();
+    const cache::ResultCache* disk = sweep_.disk_cache();
     std::cerr << "[sweep] jobs=" << sweep_.jobs() << " scenarios=" << s.scheduled
               << " executed=" << s.executed << " cache-hits=" << s.cache_hits
-              << " disk-hits=" << s.disk_hits << " disk-stores=" << s.disk_stores << '\n';
+              << " disk-hits=" << s.disk_hits << " disk-stores=" << s.disk_stores
+              << " disk-corrupt=" << (disk ? disk->stats().corrupt_entries : 0) << '\n';
   }
 
   Session(const Session&) = delete;

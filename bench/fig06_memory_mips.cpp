@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   trace::BarChart mips_chart{"MIPS"};
   for (auto id : apps::kLightweightApps) {
     const auto r = session.run({id}, core::Scheme::kBaseline);
-    const auto& app = r.apps.at(id);
+    const auto& app = r.hubs.front().apps.at(id);
     const double heap_kb = static_cast<double>(app.heap_peak_bytes) / 1024.0;
     const double mips = static_cast<double>(app.instructions) / 1e6 /
                         static_cast<double>(session.windows());

@@ -38,7 +38,7 @@ void scenario_block(bench::Session& session, const char* title, const std::vecto
   for (const auto& s : savings) std::cout << s << "  ";
   std::cout << "\n";
   // A11's user-level output for the record.
-  const auto& recs = base.apps.at(AppId::kA11SpeechToText).records;
+  const auto& recs = base.hubs.front().apps.at(AppId::kA11SpeechToText).records;
   std::cout << "A11 transcript: ";
   for (const auto& rec : recs) {
     if (rec.event) std::cout << "[w" << rec.window << "] " << rec.summary << "  ";

@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   for (auto id : apps::kLightweightApps) {
     const auto base = session.run({id}, core::Scheme::kBaseline);
     const auto com = session.run({id}, core::Scheme::kCom);
-    const double base_ms = base.apps.at(id).busy_per_window.total().to_ms();
-    const double com_ms = com.apps.at(id).busy_per_window.total().to_ms();
+    const double base_ms = base.hubs.front().apps.at(id).busy_per_window.total().to_ms();
+    const double com_ms = com.hubs.front().apps.at(id).busy_per_window.total().to_ms();
     const double speedup = base_ms / com_ms;
     sum += speedup;
     using TP = trace::TablePrinter;

@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
             << " s  (avg " << trace::TablePrinter::num(result.average_watts() * 1e3, 4)
             << " mW), QoS " << (result.qos_met ? "met on every hub" : "MISSED") << "\n\n";
 
-  std::cout << "Per-hub QoS detail:\n" << result.qos_summary;
+  std::cout << "Per-hub QoS detail:\n" << result.qos_summary();
 
   // Same fleet, but every NIC now shares one finite 5 Mbit/s uplink instead
   // of the default infinite-capacity medium. Overlapping bursts serialize,

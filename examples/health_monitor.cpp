@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     std::cout << (prob == 0.0 ? "--- healthy subject ---\n" : "--- arrhythmic episode ---\n");
     const auto r = core::run_scenario(make_scenario(core::Scheme::kCom, windows, prob));
     int alarms = 0;
-    for (const auto& rec : r.apps.at(AppId::kA8Heartbeat).records) {
+    for (const auto& rec : r.hubs.front().apps.at(AppId::kA8Heartbeat).records) {
       std::cout << "  window " << rec.window << ": " << rec.summary << '\n';
       if (rec.event) ++alarms;
     }

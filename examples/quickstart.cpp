@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   std::cout << chart.render(70) << '\n';
 
   std::cout << "App output (Baseline, per window):\n";
-  for (const auto& rec : results[0].apps.at(apps::AppId::kA2StepCounter).records) {
+  for (const auto& rec : results[0].hubs.front().apps.at(apps::AppId::kA2StepCounter).records) {
     std::cout << "  window " << rec.window << ": " << rec.summary << "  (done at "
               << rec.completed.to_seconds() << " s)\n";
   }

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
 
   trace::TablePrinter app_t{{"App", "Mode", "Windows", "Mean latency (ms)", "Worst jitter (ms)",
                              "Heap peak (KB)", "Last output"}};
-  for (const auto& [id, res] : r.apps) {
+  for (const auto& [id, res] : r.hubs.front().apps) {
     app_t.add_row({std::string{apps::code_of(id)}, std::string{to_string(res.mode)},
                    std::to_string(res.qos.windows), TP::num(res.qos.mean_latency().to_ms(), 4),
                    TP::num(res.qos.worst_sample_jitter.to_ms(), 3),
@@ -123,12 +123,12 @@ int main(int argc, char** argv) {
 
   std::cout << "interrupts " << r.interrupts_raised << ", CPU wakeups " << r.cpu_wakeups
             << ", QoS " << (r.qos_met ? "met" : "MISSED") << '\n';
-  for (const auto& [id, note] : r.notes) {
+  for (const auto& [id, note] : r.hubs.front().notes) {
     std::cout << "note: " << apps::code_of(id) << ": " << note << '\n';
   }
   if (sc.scheme == core::Scheme::kCom || sc.scheme == core::Scheme::kBcom) {
     std::cout << "offload plan:\n";
-    for (const auto& [id, d] : r.plan.decisions) {
+    for (const auto& [id, d] : r.hubs.front().plan.decisions) {
       std::cout << "  " << apps::code_of(id) << ": " << (d.offload ? "offload" : "keep") << " — "
                 << d.reason << '\n';
     }

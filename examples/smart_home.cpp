@@ -50,17 +50,17 @@ int main(int argc, char** argv) {
   std::cout << t.render() << '\n';
 
   std::cout << "Offload plan under BCOM:\n";
-  for (const auto& [id, d] : bcom.plan.decisions) {
+  for (const auto& [id, d] : bcom.hubs.front().plan.decisions) {
     std::cout << "  " << apps::code_of(id) << ": " << (d.offload ? "offloaded" : "stays on CPU")
               << " (" << d.reason << ")\n";
   }
-  std::cout << "  MCU RAM used: " << bcom.plan.mcu_ram_used / 1024 << " KB of "
+  std::cout << "  MCU RAM used: " << bcom.hubs.front().plan.mcu_ram_used / 1024 << " KB of "
             << hw::default_hub_spec().mcu_available_ram() / 1024 << " KB\n\n";
 
   std::cout << "What the apps saw (BCOM run):\n";
   for (auto id : {AppId::kA2StepCounter, AppId::kA7Earthquake, AppId::kA4M2x, AppId::kA5Blynk}) {
     std::cout << "  " << apps::code_of(id) << " (" << apps::spec_of(id).name << "):\n";
-    for (const auto& rec : bcom.apps.at(id).records) {
+    for (const auto& rec : bcom.hubs.front().apps.at(id).records) {
       std::cout << "    window " << rec.window << ": " << rec.summary
                 << (rec.event ? "  << EVENT" : "") << '\n';
     }

@@ -42,15 +42,12 @@ class ResultCodec {
     seq(ar, r.errors);
     walk(ar, r.energy);
     ar.dur(r.span);
-    keyed(ar, r.apps);
-    walk(ar, r.plan);
-    keyed(ar, r.notes);
+    ar.boolean(r.fleet);
     seq(ar, r.hubs);
     ar.u64(r.interrupts_raised);
     ar.u64(r.cpu_wakeups);
     ar.u64(r.sensor_read_errors);
     ar.boolean(r.qos_met);
-    ar.str(r.qos_summary);
     nullable(ar, r.power_trace);
   }
 

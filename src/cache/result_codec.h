@@ -26,7 +26,7 @@
 namespace iotsim::cache {
 
 inline constexpr std::uint32_t kResultCodecMagic = 0x52436373;  // "scCR" little-endian
-inline constexpr std::uint32_t kResultCodecVersion = 2;
+inline constexpr std::uint32_t kResultCodecVersion = 3;
 
 /// Serialises the full result (energy report, per-hub sections, QoS, the
 /// optional power trace) with a CRC-32 integrity trailer.

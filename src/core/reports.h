@@ -51,8 +51,8 @@ struct AppResult {
 };
 
 /// One hub's slice of a scenario run: the per-hub counterpart of the
-/// fleet-level fields on ScenarioResult. Single-hub (legacy) runs produce
-/// exactly one of these, mirroring the flat fields.
+/// fleet-level fields on ScenarioResult. A single-hub run produces exactly
+/// one of these.
 struct HubResult {
   std::string name;  // "hub0", "hub1", …
   /// This hub's components only (Σ routine == ∫P dt holds per hub).
@@ -86,30 +86,27 @@ struct ScenarioResult {
   /// Fleet-level totals: every hub's components in one report.
   energy::EnergyReport energy;
   sim::Duration span;
-  /// Per-app results. Populated on the single-hub path only — in fleet mode
-  /// the same AppId may run on many hubs, so per-app results live in
-  /// `hubs[i].apps` instead and this map stays empty.
-  std::map<apps::AppId, AppResult> apps;
-  /// Offload decisions (single-hub path; per-hub plans in `hubs[i].plan`).
-  OffloadPlan plan;
-  /// Runtime adjustments (e.g. batch-buffer fallback to per-sample).
-  /// Single-hub path; per-hub notes in `hubs[i].notes`.
-  std::map<apps::AppId, std::string> notes;
+  /// Whether the scenario ran as a fleet (Scenario::multi_hub()), even a
+  /// one-hub one. Per-app results, offload plans, notes and QoS text live
+  /// only in `hubs[i]`; this flag tells the JSON export whether to also
+  /// show the only hub's sections at the top level (single-hub runs do).
+  bool fleet = false;
   /// One section per simulated hub, in hub order (size ≥ 1 whenever the
-  /// scenario ran). The flat fields above are the fleet totals / the legacy
-  /// single-hub view.
+  /// scenario ran).
   std::vector<HubResult> hubs;
   std::uint64_t interrupts_raised = 0;
   std::uint64_t cpu_wakeups = 0;
   /// §II-B Task I availability-check failures (retried by the driver).
   std::uint64_t sensor_read_errors = 0;
   bool qos_met = true;
-  std::string qos_summary;
   /// Present when Scenario::record_power_trace was set.
   std::shared_ptr<trace::PowerTrace> power_trace;
 
   /// True when the scenario validated and actually ran.
   [[nodiscard]] bool ok() const { return errors.empty(); }
+
+  /// Every hub's QoS text under its name, each app line indented.
+  [[nodiscard]] std::string qos_summary() const;
 
   [[nodiscard]] double total_joules() const { return energy.total_joules(); }
   /// Energy per simulated window second — the figure-normalisation basis.

@@ -104,6 +104,18 @@ Value availability_to_json(const env::AvailabilityStats& a) {
   return v;
 }
 
+/// Adds "apps", "offload_plan", "mcu_ram_used_bytes" and "notes" keys to `v`.
+void add_app_sections(Value& v, const HubResult& h) {
+  Value apps_v;
+  for (const auto& [id, res] : h.apps) {
+    apps_v[std::string{apps::code_of(id)}] = app_to_json(res);
+  }
+  v["apps"] = std::move(apps_v);
+  v["offload_plan"] = plan_to_json(h.plan);
+  v["mcu_ram_used_bytes"] = Value{static_cast<double>(h.plan.mcu_ram_used)};
+  v["notes"] = notes_to_json(h.notes);
+}
+
 Value hub_to_json(const HubResult& h) {
   Value v;
   v["name"] = Value{h.name};
@@ -118,14 +130,7 @@ Value hub_to_json(const HubResult& h) {
   v["net_drops"] = Value{static_cast<double>(h.net_drops)};
   v["qos_met"] = Value{h.qos_met};
   add_energy_json(v, h.energy);
-  Value apps_v;
-  for (const auto& [id, res] : h.apps) {
-    apps_v[std::string{apps::code_of(id)}] = app_to_json(res);
-  }
-  v["apps"] = std::move(apps_v);
-  v["offload_plan"] = plan_to_json(h.plan);
-  v["mcu_ram_used_bytes"] = Value{static_cast<double>(h.plan.mcu_ram_used)};
-  v["notes"] = notes_to_json(h.notes);
+  add_app_sections(v, h);
   return v;
 }
 
@@ -143,15 +148,13 @@ Value to_json(const ScenarioResult& result) {
 
   add_energy_json(v, result.energy);
 
-  Value apps_v;
-  for (const auto& [id, res] : result.apps) {
-    apps_v[std::string{apps::code_of(id)}] = app_to_json(res);
+  // A single-hub result repeats its hub's per-app sections at the top
+  // level; a fleet (even of one hub) and an invalid result leave them empty.
+  if (!result.fleet && !result.hubs.empty()) {
+    add_app_sections(v, result.hubs.front());
+  } else {
+    add_app_sections(v, HubResult{});
   }
-  v["apps"] = std::move(apps_v);
-
-  v["offload_plan"] = plan_to_json(result.plan);
-  v["mcu_ram_used_bytes"] = Value{static_cast<double>(result.plan.mcu_ram_used)};
-  v["notes"] = notes_to_json(result.notes);
 
   {
     const energy::CongestionSummary& c = result.energy.congestion();

@@ -75,11 +75,10 @@ energy::AvailabilitySummary availability_summary(const std::vector<HarvestEntry>
   return a;
 }
 
-/// The fleet-shape half of result assembly: per-hub harvest in hub order,
-/// reassembly tripwires against the fleet totals already placed in
-/// `result.energy`, and the legacy flat-field mirror / fleet QoS summary.
-void harvest_fleet(ScenarioResult& result, const Scenario& scenario,
-                   const std::vector<HarvestEntry>& entries) {
+/// The fleet-shape half of result assembly: per-hub harvest in hub order
+/// and reassembly tripwires against the fleet totals already placed in
+/// `result.energy`.
+void harvest_fleet(ScenarioResult& result, const std::vector<HarvestEntry>& entries) {
   result.qos_met = true;
   double hub_joules_sum = 0.0;
   net::AirtimeStats hub_stats_sum;
@@ -149,30 +148,6 @@ void harvest_fleet(ScenarioResult& result, const Scenario& scenario,
                     "per-hub energy (%.12g J over %zu hubs) does not reassemble fleet total "
                     "(%.12g J)",
                     hub_joules_sum, result.hubs.size(), fleet);
-  }
-
-  if (!scenario.multi_hub()) {
-    // Legacy single-hub view: the flat fields mirror the only hub.
-    const HubResult& only = result.hubs.front();
-    result.apps = only.apps;
-    result.plan = only.plan;
-    result.notes = only.notes;
-    result.qos_summary = only.qos_summary;
-  } else {
-    // Fleet: per-app sections live per hub; the flat summary names hubs.
-    for (const HubResult& hr : result.hubs) {
-      if (hr.qos_summary.empty()) continue;
-      std::string block = hr.qos_summary;
-      // Indent each app line under its hub heading.
-      result.qos_summary += hr.name + ":\n";
-      std::size_t pos = 0;
-      while (pos < block.size()) {
-        const std::size_t eol = block.find('\n', pos);
-        const std::size_t end = eol == std::string::npos ? block.size() : eol;
-        result.qos_summary += "  " + block.substr(pos, end - pos) + "\n";
-        pos = end + 1;
-      }
-    }
   }
 }
 
@@ -422,6 +397,7 @@ ScenarioResult ScenarioRunner::run_shards(int shards) {
   // EnergyReport::from_accountants).
   ScenarioResult result;
   result.scheme = scenario_.scheme;
+  result.fleet = scenario_.multi_hub();
   sim::SimTime span_end = sim::SimTime::origin();
   for (const Kernel& k : kernels) span_end = std::max(span_end, k.sim.now());
   result.span = span_end - sim::SimTime::origin();
@@ -482,8 +458,24 @@ ScenarioResult ScenarioRunner::run_shards(int shards) {
     for (const HubRuntime& hub : k.hubs) entries.push_back(HarvestEntry{&hub, &k.acct});
   }
   result.energy.set_availability(availability_summary(entries));
-  harvest_fleet(result, scenario_, entries);
+  harvest_fleet(result, entries);
   return result;
+}
+
+std::string ScenarioResult::qos_summary() const {
+  std::string text;
+  for (const HubResult& hr : hubs) {
+    if (hr.qos_summary.empty()) continue;
+    text += hr.name + ":\n";
+    std::size_t pos = 0;
+    while (pos < hr.qos_summary.size()) {
+      const std::size_t eol = hr.qos_summary.find('\n', pos);
+      const std::size_t end = eol == std::string::npos ? hr.qos_summary.size() : eol;
+      text += "  " + hr.qos_summary.substr(pos, end - pos) + "\n";
+      pos = end + 1;
+    }
+  }
+  return text;
 }
 
 ScenarioResult run_scenario(Scenario scenario, ExecPolicy policy) {

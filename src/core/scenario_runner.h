@@ -2,7 +2,7 @@
 //
 // The per-hub machinery (hub hardware, sensors, streams, executors, offload
 // plan, QoS) lives in core::HubRuntime; the runner's job is the fleet shape:
-// resolve the scenario's hub list (one legacy hub or a count-expanded
+// resolve the scenario's hub list (its one hub or a count-expanded
 // HubInstance fleet), drive every HubRuntime, and collect the fleet-level
 // plus per-hub sections of the ScenarioResult.
 //

@@ -174,7 +174,7 @@ int SweepRunner::jobs() const {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& scenarios) {
+std::vector<ScenarioResult> SweepRunner::run(std::span<const Scenario> scenarios) {
   const std::size_t n = scenarios.size();
   stats_.scheduled += n;
 
@@ -229,20 +229,22 @@ std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& scenar
   // which is what makes the numbers bit-identical at any thread count.
   if (!to_run.empty()) {
     std::vector<std::exception_ptr> failures(to_run.size());
-    {
-      ThreadPool pool{static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(jobs()), to_run.size()))};
-      for (std::size_t k = 0; k < to_run.size(); ++k) {
-        const std::size_t idx = to_run[k];
-        pool.submit([this, &scenarios, &slots, &failures, k, idx] {
-          try {
-            slots[idx] = std::make_shared<const ScenarioResult>(
-                run_scenario(scenarios[idx], opts_.exec));
-          } catch (...) {
-            failures[k] = std::current_exception();
-          }
-        });
+    auto execute = [this, &scenarios, &slots, &failures, &to_run](std::size_t k) {
+      const std::size_t idx = to_run[k];
+      try {
+        slots[idx] =
+            std::make_shared<const ScenarioResult>(run_scenario(scenarios[idx], opts_.exec));
+      } catch (...) {
+        failures[k] = std::current_exception();
       }
+    };
+    const std::size_t workers = std::min<std::size_t>(static_cast<std::size_t>(jobs()),
+                                                      to_run.size());
+    if (workers == 1) {
+      for (std::size_t k = 0; k < to_run.size(); ++k) execute(k);
+    } else {
+      ThreadPool pool{static_cast<int>(workers)};
+      for (std::size_t k = 0; k < to_run.size(); ++k) pool.submit([&execute, k] { execute(k); });
       pool.wait_idle();
     }
     for (const auto& failure : failures) {
@@ -276,35 +278,7 @@ std::vector<ScenarioResult> SweepRunner::run(const std::vector<Scenario>& scenar
 }
 
 ScenarioResult SweepRunner::run_one(const Scenario& scenario) {
-  ++stats_.scheduled;
-  if (auto errors = scenario.validate(); !errors.empty()) {
-    ++stats_.invalid;
-    return invalid_result(scenario, std::move(errors));
-  }
-  if (!opts_.memoize) {
-    ++stats_.executed;
-    ScenarioResult result = run_scenario(scenario, opts_.exec);
-    stats_.events_dispatched += result.energy.kernel().events_dispatched;
-    return result;
-  }
-  std::string key = scenario_key(scenario);
-  if (auto it = cache_.find(key); it != cache_.end()) {
-    ++stats_.cache_hits;
-    return *it->second;
-  }
-  if (disk_) {
-    if (auto hit = disk_->lookup(key)) {
-      ++stats_.disk_hits;
-      cache_.emplace(std::move(key), hit);
-      return *hit;
-    }
-  }
-  auto result = std::make_shared<const ScenarioResult>(run_scenario(scenario, opts_.exec));
-  ++stats_.executed;
-  stats_.events_dispatched += result->energy.kernel().events_dispatched;
-  if (disk_ && disk_->store(key, *result)) ++stats_.disk_stores;
-  cache_.emplace(std::move(key), result);
-  return *result;
+  return std::move(run({&scenario, 1}).front());
 }
 
 }  // namespace iotsim::core

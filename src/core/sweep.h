@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -67,12 +68,13 @@ class SweepRunner {
   SweepRunner(const SweepRunner&) = delete;
   SweepRunner& operator=(const SweepRunner&) = delete;
 
-  /// Runs every scenario, fanning distinct ones out across the worker pool.
+  /// Runs every scenario, fanning distinct ones out across the worker pool
+  /// (inline on the calling thread when the pool would have one worker).
   /// Results are returned in input order; invalid scenarios yield a result
   /// whose `errors` is non-empty (they never execute).
-  [[nodiscard]] std::vector<ScenarioResult> run(const std::vector<Scenario>& scenarios);
+  [[nodiscard]] std::vector<ScenarioResult> run(std::span<const Scenario> scenarios);
 
-  /// Runs one scenario inline on the calling thread (memoized like run()).
+  /// run() on a one-scenario batch, so on the calling thread.
   [[nodiscard]] ScenarioResult run_one(const Scenario& scenario);
 
   [[nodiscard]] const SweepStats& stats() const { return stats_; }

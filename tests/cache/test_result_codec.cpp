@@ -72,9 +72,27 @@ TEST(ResultCodec, RoundTripsAFleetResult) { expect_roundtrip(fleet_result()); }
 TEST(ResultCodec, RoundTripsAnInvalidResult) {
   // Invalid scenarios produce error-only results; those are cacheable too.
   core::SweepRunner runner{test::with_jobs(1)};
-  const auto results = runner.run({Scenario::builder().windows(0).build()});
+  const auto results = runner.run(std::vector{Scenario::builder().windows(0).build()});
   ASSERT_FALSE(results[0].ok());
   expect_roundtrip(results[0]);
+}
+
+TEST(ResultCodec, KeepsWhetherASingleHubRanAsAFleet) {
+  // One hub either way: only the fleet flag decides whether the JSON shows
+  // that hub's per-app sections at the top level, so it must survive too.
+  Scenario fleet_of_one;
+  fleet_of_one.scheme = Scheme::kBcom;
+  fleet_of_one.windows = 2;
+  core::HubInstance hub;
+  hub.app_ids = {AppId::kA2StepCounter, AppId::kA7Earthquake};
+  fleet_of_one.hubs = {hub};
+  for (const ScenarioResult& r : {sample_result(), core::run_scenario(fleet_of_one)}) {
+    ASSERT_EQ(r.hubs.size(), 1u);
+    const auto back = decode_result(encode_result(r));
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->fleet, r.fleet);
+    EXPECT_EQ(core::to_json_text(*back), core::to_json_text(r));
+  }
 }
 
 TEST(ResultCodec, RejectsEveryTruncation) {

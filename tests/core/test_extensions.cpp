@@ -25,7 +25,7 @@ TEST(DmaExtension, SavesEnergyOnTransferHeavyBaseline) {
   const auto r_pio = run_scenario(pio);
   const auto r_dma = run_scenario(dma);
   EXPECT_LT(r_dma.total_joules(), r_pio.total_joules());
-  EXPECT_TRUE(r_dma.qos_met) << r_dma.qos_summary;
+  EXPECT_TRUE(r_dma.qos_met) << r_dma.qos_summary();
 }
 
 TEST(DmaExtension, OutputsUnchanged) {
@@ -40,8 +40,8 @@ TEST(DmaExtension, OutputsUnchanged) {
   // the totals must agree.
   double pio_total = 0.0, dma_total = 0.0;
   for (std::size_t w = 0; w < 2; ++w) {
-    pio_total += r_pio.apps.at(AppId::kA2StepCounter).records[w].metric;
-    dma_total += r_dma.apps.at(AppId::kA2StepCounter).records[w].metric;
+    pio_total += r_pio.hubs.front().apps.at(AppId::kA2StepCounter).records[w].metric;
+    dma_total += r_dma.hubs.front().apps.at(AppId::kA2StepCounter).records[w].metric;
   }
   EXPECT_NEAR(pio_total, dma_total, 1.0);
 }
@@ -63,9 +63,9 @@ TEST(Knobs, McuSpeedFactorScalesComLatency) {
   const auto r_fast = run_scenario(fast);
   const auto r_slow = run_scenario(slow);
   const auto fast_comp =
-      r_fast.apps.at(AppId::kA2StepCounter).busy_per_window.computation;
+      r_fast.hubs.front().apps.at(AppId::kA2StepCounter).busy_per_window.computation;
   const auto slow_comp =
-      r_slow.apps.at(AppId::kA2StepCounter).busy_per_window.computation;
+      r_slow.hubs.front().apps.at(AppId::kA2StepCounter).busy_per_window.computation;
   EXPECT_NEAR(slow_comp.to_seconds() / fast_comp.to_seconds(), 8.0, 0.5);
 }
 

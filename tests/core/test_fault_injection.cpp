@@ -36,10 +36,10 @@ TEST(FaultInjection, SampleStreamStaysComplete) {
   const auto r = run_with_faults(0.10);
   // Retries always deliver: every window still collects its 1000 samples
   // (the kernel reports a sane step count, not "no samples").
-  for (const auto& rec : r.apps.at(AppId::kA2StepCounter).records) {
+  for (const auto& rec : r.hubs.front().apps.at(AppId::kA2StepCounter).records) {
     EXPECT_NE(rec.summary, "no samples");
   }
-  EXPECT_TRUE(r.qos_met) << r.qos_summary;
+  EXPECT_TRUE(r.qos_met) << r.qos_summary();
 }
 
 TEST(FaultInjection, EnergyOverheadGrowsWithFaultRate) {
@@ -54,7 +54,7 @@ TEST(FaultInjection, WorksUnderEveryScheme) {
   for (Scheme scheme : {Scheme::kBaseline, Scheme::kBatching, Scheme::kCom}) {
     const auto r = run_with_faults(0.05, scheme);
     EXPECT_GT(r.sensor_read_errors, 0u) << to_string(scheme);
-    EXPECT_TRUE(r.qos_met) << to_string(scheme) << "\n" << r.qos_summary;
+    EXPECT_TRUE(r.qos_met) << to_string(scheme) << "\n" << r.qos_summary();
   }
 }
 

@@ -5,6 +5,7 @@
 #include <deque>
 #include <string>
 
+#include "codecs/json/json_parser.h"
 #include "core/hub_runtime.h"
 #include "core/result_json.h"
 #include "core/scenario_runner.h"
@@ -185,7 +186,7 @@ TEST(FleetRun, HubZeroOfTwoHubFleetMatchesStandaloneRun) {
   EXPECT_EQ(hub0.cpu_wakeups, standalone.cpu_wakeups);
   ASSERT_EQ(hub0.apps.size(), 2u);
   const auto& a2 = hub0.apps.at(AppId::kA2StepCounter);
-  const auto& a2_ref = standalone.apps.at(AppId::kA2StepCounter);
+  const auto& a2_ref = standalone.hubs.front().apps.at(AppId::kA2StepCounter);
   EXPECT_EQ(a2.qos.mean_latency(), a2_ref.qos.mean_latency());
   EXPECT_EQ(a2.instructions, a2_ref.instructions);
 }
@@ -337,32 +338,57 @@ TEST(FleetRun, CountExpandedHubsDrawDistinctRngStreams) {
       << "count-expanded hubs behaved identically: seed derivation broken?";
 }
 
+/// The result JSON's top-level keys for a single hub's per-app sections.
+const char* const kAppSectionKeys[] = {"apps", "offload_plan", "notes", "mcu_ram_used_bytes"};
+
+codecs::json::Value parsed_json(const ScenarioResult& r) {
+  auto parsed = codecs::json::parse(to_json_text(r));
+  EXPECT_TRUE(parsed.ok());
+  return parsed.ok() ? std::move(*parsed.value) : codecs::json::Value{};
+}
+
 TEST(FleetRun, MultiHubResultKeepsFlatAppSectionsEmpty) {
+  // A fleet of one hub is still a fleet: AppIds may repeat across a
+  // fleet's hubs, so its top-level per-app sections stay empty.
   const auto r = run_scenario(
       Scenario::builder()
           .windows(2)
           .add_hub(hw::default_hub_spec(), {AppId::kA2StepCounter})
-          .add_hub(hw::default_hub_spec(), {AppId::kA2StepCounter})
           .build());
   ASSERT_TRUE(r.ok());
-  // AppIds may repeat across hubs, so per-app data lives in the hub
-  // sections; the flat single-hub fields stay empty.
-  EXPECT_TRUE(r.apps.empty());
-  EXPECT_TRUE(r.plan.decisions.empty());
+  ASSERT_EQ(r.hubs.size(), 1u);
+  EXPECT_TRUE(r.fleet);
   EXPECT_EQ(r.hubs[0].apps.size(), 1u);
-  EXPECT_EQ(r.hubs[1].apps.size(), 1u);
-  EXPECT_NE(r.qos_summary.find("hub0:"), std::string::npos);
-  EXPECT_NE(r.qos_summary.find("hub1:"), std::string::npos);
+  const auto doc = parsed_json(r);
+  for (const char* key : kAppSectionKeys) {
+    const codecs::json::Value* top = doc.find(key);
+    ASSERT_NE(top, nullptr) << key;
+    if (top->is_number()) {
+      EXPECT_EQ(top->as_number(), 0.0) << key;
+    } else {
+      EXPECT_EQ(top->size(), 0u) << key;
+    }
+  }
+  EXPECT_EQ(r.qos_summary().rfind("hub0:\n  A2", 0), 0u);
 }
 
 TEST(FleetRun, SingleHubResultStillMirrorsFlatSections) {
+  // A single-hub result's JSON repeats its only hub's per-app sections at
+  // the top level.
   const auto r = run_scenario(single());
   ASSERT_EQ(r.hubs.size(), 1u);
+  EXPECT_FALSE(r.fleet);
   EXPECT_EQ(r.hubs[0].name, "hub0");
-  EXPECT_EQ(r.apps.size(), 2u);
   EXPECT_EQ(r.hubs[0].apps.size(), 2u);
   EXPECT_DOUBLE_EQ(r.hubs[0].total_joules(), r.total_joules());
-  EXPECT_EQ(r.qos_summary.find("hub0:"), std::string::npos);  // legacy format
+  const auto doc = parsed_json(r);
+  const codecs::json::Value& hub0 = doc.find("hubs")->as_array().at(0);
+  for (const char* key : kAppSectionKeys) {
+    ASSERT_NE(doc.find(key), nullptr) << key;
+    ASSERT_NE(hub0.find(key), nullptr) << key;
+    EXPECT_EQ(*doc.find(key), *hub0.find(key)) << key;
+  }
+  EXPECT_EQ(doc.find("apps")->size(), 2u);
 }
 
 TEST(FleetRun, ResultJsonCarriesHubSections) {

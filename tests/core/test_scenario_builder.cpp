@@ -217,7 +217,7 @@ TEST(ScenarioValidate, NegativeHeartRateNeverReachesPulseSignal) {
     ASSERT_EQ(sc->validate().size(), 1u);
     const ScenarioResult r = run_scenario(*sc);
     EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.apps.size(), 0u);
+    EXPECT_TRUE(r.hubs.empty());
     EXPECT_EQ(r.energy.kernel().events_dispatched, 0u);
     ASSERT_EQ(r.errors.size(), 1u);
     EXPECT_NE(r.errors[0].field.find("world.heart_bpm"), std::string::npos);
@@ -239,7 +239,7 @@ TEST(ScenarioValidate, RunScenarioSurfacesErrorsInsteadOfRunning) {
   const auto r = run_scenario(Scenario::builder().windows(0).build());
   EXPECT_FALSE(r.ok());
   EXPECT_FALSE(r.qos_met);
-  EXPECT_EQ(r.apps.size(), 0u);
+  EXPECT_TRUE(r.hubs.empty());
   EXPECT_DOUBLE_EQ(r.total_joules(), 0.0);
   ASSERT_EQ(r.errors.size(), 2u);  // empty apps + windows
 }

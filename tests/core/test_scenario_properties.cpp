@@ -46,9 +46,9 @@ TEST(ScenarioProperties, IdenticalSeedsGiveIdenticalResults) {
   EXPECT_DOUBLE_EQ(a.total_joules(), b.total_joules());
   EXPECT_EQ(a.interrupts_raised, b.interrupts_raised);
   EXPECT_EQ(a.span, b.span);
-  for (const auto& [id, res] : a.apps) {
+  for (const auto& [id, res] : a.hubs.front().apps) {
     for (std::size_t w = 0; w < res.records.size(); ++w) {
-      EXPECT_EQ(res.records[w].summary, b.apps.at(id).records[w].summary);
+      EXPECT_EQ(res.records[w].summary, b.hubs.front().apps.at(id).records[w].summary);
     }
   }
 }
@@ -57,8 +57,8 @@ TEST(ScenarioProperties, DifferentSeedsDifferInData) {
   const auto a = run_scenario(make({AppId::kA3ArduinoJson}, Scheme::kBaseline, 2, 1));
   const auto b = run_scenario(make({AppId::kA3ArduinoJson}, Scheme::kBaseline, 2, 2));
   // Different environment random walks ⇒ different JSON documents.
-  EXPECT_NE(a.apps.at(AppId::kA3ArduinoJson).records[0].metric,
-            b.apps.at(AppId::kA3ArduinoJson).records[0].metric);
+  EXPECT_NE(a.hubs.front().apps.at(AppId::kA3ArduinoJson).records[0].metric,
+            b.hubs.front().apps.at(AppId::kA3ArduinoJson).records[0].metric);
 }
 
 // ---- Property 3/4: batching interrupt arithmetic --------------------------
@@ -114,7 +114,7 @@ TEST_P(QosSweep, SingleAppsMeetDeadlines) {
   for (auto id : {AppId::kA2StepCounter, AppId::kA8Heartbeat, AppId::kA10Fingerprint}) {
     const auto r = run_scenario(make({id}, GetParam()));
     EXPECT_TRUE(r.qos_met) << to_string(GetParam()) << " " << apps::code_of(id) << "\n"
-                           << r.qos_summary;
+                           << r.qos_summary();
   }
 }
 
@@ -140,7 +140,7 @@ TEST(ScenarioProperties, PlannerNeverOversubscribesMcuRam) {
 TEST(ScenarioProperties, EveryWindowCollectsExpectedSamples) {
   for (Scheme scheme : {Scheme::kBaseline, Scheme::kBatching, Scheme::kCom}) {
     const auto r = run_scenario(make({AppId::kA4M2x}, scheme));
-    for (const auto& rec : r.apps.at(AppId::kA4M2x).records) {
+    for (const auto& rec : r.hubs.front().apps.at(AppId::kA4M2x).records) {
       // The M2X kernel reports how many samples it consumed.
       EXPECT_DOUBLE_EQ(rec.metric, 2220.0) << to_string(scheme);
     }
@@ -150,7 +150,7 @@ TEST(ScenarioProperties, EveryWindowCollectsExpectedSamples) {
 TEST(ScenarioProperties, SamplingJitterBounded) {
   const auto r = run_scenario(make({AppId::kA2StepCounter}, Scheme::kBaseline, 3));
   // Single-app 1 kHz sampling should hold its period within a millisecond.
-  EXPECT_LT(r.apps.at(AppId::kA2StepCounter).qos.worst_sample_jitter,
+  EXPECT_LT(r.hubs.front().apps.at(AppId::kA2StepCounter).qos.worst_sample_jitter,
             sim::Duration::from_ms(1.5));
 }
 

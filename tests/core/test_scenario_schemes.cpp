@@ -18,13 +18,13 @@ TEST(Schemes, BaselineInterruptsPerSample) {
   const auto r = run({AppId::kA2StepCounter}, Scheme::kBaseline);
   // 1000 samples per window × 3 windows.
   EXPECT_EQ(r.interrupts_raised, 3000u);
-  EXPECT_TRUE(r.qos_met) << r.qos_summary;
+  EXPECT_TRUE(r.qos_met) << r.qos_summary();
 }
 
 TEST(Schemes, BatchingOneInterruptPerWindow) {
   const auto r = run({AppId::kA2StepCounter}, Scheme::kBatching);
   EXPECT_EQ(r.interrupts_raised, 3u);  // the paper's 1000 → 1
-  EXPECT_TRUE(r.qos_met) << r.qos_summary;
+  EXPECT_TRUE(r.qos_met) << r.qos_summary();
 }
 
 TEST(Schemes, BatchingSavesEnergyInPaperRange) {
@@ -39,8 +39,8 @@ TEST(Schemes, BatchingSavesEnergyInPaperRange) {
 TEST(Schemes, ComEliminatesDataTransfer) {
   const auto com = run({AppId::kA2StepCounter}, Scheme::kCom);
   EXPECT_NEAR(com.energy.paper_joules(energy::Routine::kDataTransfer), 0.0, 1e-9);
-  EXPECT_TRUE(com.qos_met) << com.qos_summary;
-  EXPECT_EQ(com.apps.at(AppId::kA2StepCounter).mode, AppMode::kOffloaded);
+  EXPECT_TRUE(com.qos_met) << com.qos_summary();
+  EXPECT_EQ(com.hubs.front().apps.at(AppId::kA2StepCounter).mode, AppMode::kOffloaded);
 }
 
 TEST(Schemes, ComBeatsBatchingBeatsBaseline) {
@@ -61,10 +61,13 @@ TEST(Schemes, AppOutputsEquivalentAcrossSchemes) {
   const auto batch = run({AppId::kA2StepCounter}, Scheme::kBatching);
   const auto com = run({AppId::kA2StepCounter}, Scheme::kCom);
   double base_total = 0.0, batch_total = 0.0, com_total = 0.0;
-  for (int w = 0; w < 3; ++w) {
-    const auto& b = base.apps.at(AppId::kA2StepCounter).records[static_cast<std::size_t>(w)];
-    const auto& t = batch.apps.at(AppId::kA2StepCounter).records[static_cast<std::size_t>(w)];
-    const auto& c = com.apps.at(AppId::kA2StepCounter).records[static_cast<std::size_t>(w)];
+  const auto& base_a2 = base.hubs.front().apps.at(AppId::kA2StepCounter).records;
+  const auto& batch_a2 = batch.hubs.front().apps.at(AppId::kA2StepCounter).records;
+  const auto& com_a2 = com.hubs.front().apps.at(AppId::kA2StepCounter).records;
+  for (std::size_t w = 0; w < 3; ++w) {
+    const auto& b = base_a2[w];
+    const auto& t = batch_a2[w];
+    const auto& c = com_a2[w];
     EXPECT_NEAR(b.metric, t.metric, 1.0) << "window " << w;
     EXPECT_NEAR(b.metric, c.metric, 1.0) << "window " << w;
     base_total += b.metric;
@@ -77,14 +80,14 @@ TEST(Schemes, AppOutputsEquivalentAcrossSchemes) {
 
 TEST(Schemes, ComFallsBackToBaselineForHeavyApp) {
   const auto r = run({AppId::kA11SpeechToText}, Scheme::kCom);
-  EXPECT_EQ(r.apps.at(AppId::kA11SpeechToText).mode, AppMode::kPerSample);
-  EXPECT_FALSE(r.plan.offloaded(AppId::kA11SpeechToText));
+  EXPECT_EQ(r.hubs.front().apps.at(AppId::kA11SpeechToText).mode, AppMode::kPerSample);
+  EXPECT_FALSE(r.hubs.front().plan.offloaded(AppId::kA11SpeechToText));
 }
 
 TEST(Schemes, BcomSplitsHeavyAndLight) {
   const auto r = run({AppId::kA11SpeechToText, AppId::kA6Dropbox}, Scheme::kBcom);
-  EXPECT_EQ(r.apps.at(AppId::kA11SpeechToText).mode, AppMode::kBatched);
-  EXPECT_EQ(r.apps.at(AppId::kA6Dropbox).mode, AppMode::kOffloaded);
+  EXPECT_EQ(r.hubs.front().apps.at(AppId::kA11SpeechToText).mode, AppMode::kBatched);
+  EXPECT_EQ(r.hubs.front().apps.at(AppId::kA6Dropbox).mode, AppMode::kOffloaded);
 }
 
 TEST(Schemes, BeamDeduplicatesSharedSensor) {
@@ -108,7 +111,7 @@ TEST(Schemes, BeamNoSharingNoBenefit) {
 TEST(Schemes, BeamAppsBothReceiveSharedData) {
   const auto beam = run({AppId::kA2StepCounter, AppId::kA7Earthquake}, Scheme::kBeam);
   for (auto id : {AppId::kA2StepCounter, AppId::kA7Earthquake}) {
-    for (const auto& rec : beam.apps.at(id).records) {
+    for (const auto& rec : beam.hubs.front().apps.at(id).records) {
       EXPECT_FALSE(rec.summary.empty()) << apps::code_of(id);
       EXPECT_NE(rec.summary, "no samples") << apps::code_of(id);
     }

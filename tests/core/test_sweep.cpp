@@ -85,7 +85,7 @@ TEST(Sweep, SameResultsAtAnyJobCount) {
 TEST(Sweep, MatchesDirectRunScenario) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBatching);
   const auto direct = run_scenario(sc);
-  const auto swept = SweepRunner{test::with_jobs(4)}.run({sc});
+  const auto swept = SweepRunner{test::with_jobs(4)}.run(std::vector{sc});
   ASSERT_EQ(swept.size(), 1u);
   EXPECT_EQ(direct.total_joules(), swept[0].total_joules());
 }
@@ -96,9 +96,9 @@ TEST(Sweep, ResultsKeepInputOrder) {
                                        quick(AppId::kA2StepCounter, Scheme::kBaseline)};
   const auto results = SweepRunner{test::with_jobs(8)}.run(sweep);
   ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].apps.count(AppId::kA2StepCounter), 1u);
-  EXPECT_EQ(results[1].apps.count(AppId::kA3ArduinoJson), 1u);
-  EXPECT_EQ(results[2].apps.count(AppId::kA2StepCounter), 1u);
+  EXPECT_EQ(results[0].hubs.front().apps.count(AppId::kA2StepCounter), 1u);
+  EXPECT_EQ(results[1].hubs.front().apps.count(AppId::kA3ArduinoJson), 1u);
+  EXPECT_EQ(results[2].hubs.front().apps.count(AppId::kA2StepCounter), 1u);
   // Scheme ordering: COM beats Baseline for A2, so slot 0 < slot 2.
   EXPECT_LT(results[0].total_joules(), results[2].total_joules());
 }
@@ -108,7 +108,7 @@ TEST(Sweep, ResultsKeepInputOrder) {
 TEST(Sweep, DuplicateScenariosRunOnce) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
   SweepRunner runner{test::with_jobs(4)};
-  const auto results = runner.run({sc, sc, sc, sc});
+  const auto results = runner.run(std::vector{sc, sc, sc, sc});
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(runner.stats().scheduled, 4u);
   EXPECT_EQ(runner.stats().executed, 1u);
@@ -119,8 +119,8 @@ TEST(Sweep, DuplicateScenariosRunOnce) {
 TEST(Sweep, CacheSurvivesAcrossBatches) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBatching);
   SweepRunner runner{test::with_jobs(2)};
-  const auto first = runner.run({sc});
-  const auto second = runner.run({sc});
+  const auto first = runner.run(std::vector{sc});
+  const auto second = runner.run(std::vector{sc});
   EXPECT_EQ(runner.stats().executed, 1u);
   EXPECT_EQ(runner.stats().cache_hits, 1u);
   EXPECT_EQ(first[0].total_joules(), second[0].total_joules());
@@ -128,7 +128,7 @@ TEST(Sweep, CacheSurvivesAcrossBatches) {
 
 TEST(Sweep, DistinctSeedsMissTheCache) {
   SweepRunner runner{test::with_jobs(2)};
-  (void)runner.run({quick(AppId::kA2StepCounter, Scheme::kBaseline, 1),
+  (void)runner.run(std::vector{quick(AppId::kA2StepCounter, Scheme::kBaseline, 1),
               quick(AppId::kA2StepCounter, Scheme::kBaseline, 2)});
   EXPECT_EQ(runner.stats().executed, 2u);
   EXPECT_EQ(runner.stats().cache_hits, 0u);
@@ -138,8 +138,8 @@ TEST(Sweep, DistinctSeedsMissTheCache) {
 TEST(Sweep, MemoizationCanBeDisabled) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
   SweepRunner runner{test::with_jobs(2, false)};
-  (void)runner.run({sc});
-  (void)runner.run({sc});
+  (void)runner.run(std::vector{sc});
+  (void)runner.run(std::vector{sc});
   EXPECT_EQ(runner.stats().executed, 2u);
   EXPECT_EQ(runner.stats().cache_hits, 0u);
   EXPECT_EQ(runner.cache_size(), 0u);
@@ -160,7 +160,8 @@ TEST(Sweep, RunOneMemoizesToo) {
 TEST(Sweep, InvalidScenarioSurfacesErrorsWithoutRunning) {
   const auto bad = Scenario::builder().windows(0).build();
   SweepRunner runner{test::with_jobs(2)};
-  const auto results = runner.run({bad, quick(AppId::kA2StepCounter, Scheme::kBaseline)});
+  const auto results =
+      runner.run(std::vector{bad, quick(AppId::kA2StepCounter, Scheme::kBaseline)});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_FALSE(results[0].ok());
   EXPECT_FALSE(results[0].errors.empty());

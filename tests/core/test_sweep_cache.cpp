@@ -91,7 +91,7 @@ TEST_F(SweepDiskCacheFixture, RunOnePromotesDiskHitsIntoTheMemo) {
 TEST_F(SweepDiskCacheFixture, MemoryTierStillDedupesWithinARun) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
   SweepRunner runner{with_disk()};
-  (void)runner.run({sc, sc, sc});
+  (void)runner.run(std::vector{sc, sc, sc});
   EXPECT_EQ(runner.stats().executed, 1u);
   EXPECT_EQ(runner.stats().cache_hits, 2u);
   // Each distinct scenario is stored once, not once per duplicate.
@@ -101,12 +101,12 @@ TEST_F(SweepDiskCacheFixture, MemoryTierStillDedupesWithinARun) {
 TEST_F(SweepDiskCacheFixture, EmptyMemoStillHitsTheDiskTier) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
   SweepRunner runner{with_disk()};
-  (void)runner.run({sc});
+  (void)runner.run(std::vector{sc});
   // A fresh runner starts with an empty memo, but the disk tier the first
   // one filled survives it: running the scenario again is a disk hit.
   SweepRunner fresh{with_disk()};
   EXPECT_EQ(fresh.cache_size(), 0u);
-  (void)fresh.run({sc});
+  (void)fresh.run(std::vector{sc});
   EXPECT_EQ(fresh.stats().executed, 0u);
   EXPECT_EQ(fresh.stats().disk_hits, 1u);
   EXPECT_EQ(fresh.cache_size(), 1u);
@@ -116,8 +116,8 @@ TEST_F(SweepDiskCacheFixture, DiskTierRequiresMemoization) {
   const auto sc = quick(AppId::kA2StepCounter, Scheme::kBaseline);
   SweepRunner runner{SweepOptions{.jobs = 1, .memoize = false, .cache_dir = dir_.string()}};
   EXPECT_EQ(runner.disk_cache(), nullptr);
-  (void)runner.run({sc});
-  (void)runner.run({sc});
+  (void)runner.run(std::vector{sc});
+  (void)runner.run(std::vector{sc});
   EXPECT_EQ(runner.stats().executed, 2u);
   EXPECT_EQ(runner.stats().disk_stores, 0u);
 }
@@ -125,7 +125,7 @@ TEST_F(SweepDiskCacheFixture, DiskTierRequiresMemoization) {
 TEST_F(SweepDiskCacheFixture, NoCacheDirMeansNoDiskTier) {
   SweepRunner runner{test::with_jobs(1)};
   EXPECT_EQ(runner.disk_cache(), nullptr);
-  (void)runner.run({quick(AppId::kA2StepCounter, Scheme::kBaseline)});
+  (void)runner.run(std::vector{quick(AppId::kA2StepCounter, Scheme::kBaseline)});
   EXPECT_EQ(runner.stats().disk_stores, 0u);
 }
 
